@@ -574,6 +574,14 @@ let run_link ~metrics ~spans (mprog : Wario_machine.Isa.mprog) :
   M.set metrics "link.data_bytes" image.Wario_emulator.Image.data_bytes;
   image
 
+(* Per-audition counts: trial compiles run, selections answered from the
+   audition's memo, and trials whose image could not run to completion. *)
+type audition = {
+  mutable trials : int;
+  mutable memo_hits : int;
+  mutable unrunnable : int;
+}
+
 let rec compile_ir ?(opts = default_options) ?(metrics = M.disabled)
     ?(spans = S.disabled) (env : environment) (prog : Ir.program) : compiled =
   let trial_expander = run_trial_expander ~opts ~metrics ~spans env prog in
@@ -612,25 +620,32 @@ let rec compile_ir ?(opts = default_options) ?(metrics = M.disabled)
 (* Cost-coupled expansion (Interprocedural only) happens before the
    middle end, because each candidate inline is auditioned by a full
    compile of a program copy.  The trial compiles themselves are never
-   span-instrumented — only the audition total is attributed. *)
+   span-instrumented — only the audition total is attributed, with its
+   trial, memo-hit and unrunnable counts as counters on the one span. *)
 and run_trial_expander ~opts ~metrics ~spans (env : environment)
     (prog : Ir.program) : T.Expander.stats option =
   match (env, opts.placement) with
   | Plain, _ -> None
   | _, T.Checkpoint_inserter.Interprocedural when opts.expander_size_limit > 0
     ->
-      let st =
+      let st, au =
         S.with_span spans "middle.expander_trials" (fun () ->
-            let st =
+            let ((st, au) as r) =
               M.time metrics "middle.expander.ms" (fun () ->
                   trial_expand ~opts env prog)
             in
             S.add_counter ~by:st.T.Expander.candidates spans "candidates";
             S.add_counter ~by:st.T.Expander.inlined spans "inlined";
-            st)
+            S.add_counter ~by:au.trials spans "trials";
+            S.add_counter ~by:au.memo_hits spans "memo_hits";
+            S.add_counter ~by:au.unrunnable spans "trial_unrunnable";
+            r)
       in
       M.set metrics "middle.expander.candidates" st.T.Expander.candidates;
       M.set metrics "middle.expander.inlined" st.T.Expander.inlined;
+      M.set metrics "middle.expander.trials" au.trials;
+      M.set metrics "middle.expander.memo_hits" au.memo_hits;
+      M.set metrics "middle.expander.trial_unrunnable" au.unrunnable;
       Some st
   | _ -> None
 
@@ -648,31 +663,70 @@ and run_trial_expander ~opts ~metrics ~spans (env : environment)
    Accepted inlines stay in force for later trials and the list is
    re-auditioned (bounded passes) because an accepted inline can change a
    later candidate's worth; a code-size budget of [4 * size_limit] added
-   instructions bounds growth.  Programs that exhaust the trial budget
-   (or break the trial build) audit as infinitely expensive, so
-   non-terminating inputs simply keep the un-expanded program.  Finally
-   the accepted set is replayed on the real program. *)
-and trial_expand ~opts env (prog : Ir.program) : T.Expander.stats =
+   instructions bounds growth.  Finally the accepted set is replayed on
+   the real program.
+
+   Trials compile with elision and motion off, so the audition compares
+   inline sets on the un-elided image.  Those two certifier-driven
+   passes were most of a trial's cost, and dropping them keeps the
+   accepted sets of 12 of the 13 benchmark programs (aes accepts more
+   and ends better; EXPERIMENTS.md).  The real compile of the accepted
+   set still runs the caller's elision and motion.  A trial is a pure
+   function of its selection, so [cost_of] is memoized per audition: a
+   selection already compiled (a pass-2 re-audition, or another call
+   site of an edge already tried) is never compiled twice.  A trial that
+   cannot run (fuel exhausted, a trap) audits as infinitely expensive
+   and is counted; if the un-expanded program itself cannot run, the
+   audition keeps it unexpanded.  Any other exception is a bug and
+   propagates. *)
+and trial_expand ~opts env (prog : Ir.program) : T.Expander.stats * audition
+    =
   let cg = A.Callgraph.build prog in
   let cands =
     T.Expander.costed_candidates ~size_limit:opts.expander_size_limit cg prog
   in
   let trial_opts =
-    { opts with expander_size_limit = 0; block_profile = None }
+    {
+      opts with
+      expander_size_limit = 0;
+      block_profile = None;
+      elide = false;
+      motion = false;
+    }
   in
+  let au = { trials = 0; memo_hits = 0; unrunnable = 0 } in
+  (* [apply_candidate] reads only the (caller, callee) edge, so that list
+     determines the trial program *)
+  let memo = Hashtbl.create 64 in
   let cost_of sel =
-    let p = Ir.copy_program prog in
-    List.iter (fun c -> ignore (T.Expander.apply_candidate p c)) sel;
-    match
-      let c = compile_ir ~opts:trial_opts env p in
-      let r =
-        Wario_emulator.Emulator.run ~fuel:100_000_000
-          ~supply:Wario_emulator.Power.Continuous ~verify:false c.image
-      in
-      r.Wario_emulator.Emulator.checkpoints_total
-    with
-    | n -> n
-    | exception _ -> max_int (* no termination, or a broken trial build *)
+    let key =
+      List.map
+        (fun (c : T.Expander.cand) -> (c.T.Expander.xc_caller, c.xc_callee))
+        sel
+    in
+    match Hashtbl.find_opt memo key with
+    | Some n ->
+        au.memo_hits <- au.memo_hits + 1;
+        n
+    | None ->
+        au.trials <- au.trials + 1;
+        let p = Ir.copy_program prog in
+        List.iter (fun c -> ignore (T.Expander.apply_candidate p c)) sel;
+        let c = compile_ir ~opts:trial_opts env p in
+        let n =
+          match
+            Wario_emulator.Emulator.run ~fuel:100_000_000
+              ~supply:Wario_emulator.Power.Continuous ~verify:false c.image
+          with
+          | r -> r.Wario_emulator.Emulator.checkpoints_total
+          | exception
+              ( Wario_emulator.Emulator.Emu_error _
+              | Wario_emulator.Emulator.No_forward_progress _ ) ->
+              au.unrunnable <- au.unrunnable + 1;
+              max_int
+        in
+        Hashtbl.replace memo key n;
+        n
   in
   let budget = ref (4 * opts.expander_size_limit) in
   let accepted = ref [] in
@@ -704,7 +758,7 @@ and trial_expand ~opts env (prog : Ir.program) : T.Expander.stats =
   end;
   let sel = List.rev !accepted in
   List.iter (fun c -> ignore (T.Expander.apply_candidate prog c)) sel;
-  { T.Expander.candidates = List.length cands; inlined = List.length sel }
+  ({ T.Expander.candidates = List.length cands; inlined = List.length sel }, au)
 
 (* ------------------------------------------------------------------ *)
 (* Stage keys and the content-addressed compile (DESIGN.md §19)         *)
@@ -749,9 +803,11 @@ let canon_counts = function
     toggle re-runs only the "image" stage (elision + motion + link) on
     the cached machine program.  The exception is [Interprocedural]
     expansion, whose audition loop compiles and *runs* full trial
-    programs before the middle end: there the "wir" key conservatively
-    absorbs every option the trial compiles consume (including the
-    sampled WARIO_SAVE_ALL emulator flag). *)
+    programs before the middle end: there the "wir" key absorbs every
+    option the trial compiles consume (including the sampled
+    WARIO_SAVE_ALL emulator flag).  Trials always compile with elision
+    and motion off, so [elide]/[motion] stay out of the "wir" key and a
+    toggle re-runs only the "image" stage under [Interprocedural] too. *)
 let stage_keys ?(opts = default_options) (env : environment) (source : string)
     : (string * Cache.Key.t) list =
   let k_front = Cache.Key.of_parts [ ("stage", "front"); ("source", source) ] in
@@ -777,8 +833,6 @@ let stage_keys ?(opts = default_options) (env : environment) (source : string)
           ("trial_placement", "interprocedural");
           ("trial_max_region", canon_opt_int opts.max_region);
           ("trial_drop_middle_ckpt", canon_opt_int opts.drop_middle_ckpt);
-          ("trial_elide", canon_bool opts.elide);
-          ("trial_motion", canon_bool opts.motion);
           ("trial_save_all", canon_bool (save_all_sampled ()));
         ]
       else [])

@@ -132,8 +132,10 @@ val stage_keys :
     [motion] changes only ["image"] (the cached machine program is
     re-linked).  Under [Interprocedural] with a non-[Plain] environment,
     trial expansion compiles and runs whole programs before placement,
-    so the ["wir"] key conservatively absorbs every option (and the
-    sampled [WARIO_SAVE_ALL] flag) those trials consume. *)
+    so the ["wir"] key absorbs every option (and the sampled
+    [WARIO_SAVE_ALL] flag) those trials consume.  Trials never run
+    elision or motion, so an [elide]/[motion] flip moves only ["image"]
+    there as well. *)
 
 val image_key : ?opts:options -> environment -> string -> Cache.Key.t
 (** [stage_keys]' final ("image") key: a canonical fingerprint of the

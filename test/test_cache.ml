@@ -225,6 +225,28 @@ let test_key_chaining_structure () =
     "front survives inter" (assoc "front" base) (assoc "front" inter);
   Alcotest.(check bool)
     "wir moves under inter" true (assoc "wir" base <> assoc "wir" inter);
+  (* trials compile with elision and motion off, so under inter too an
+     elide/motion flip moves only the image key *)
+  let inter_em =
+    P.stage_keys
+      ~opts:
+        {
+          d with
+          P.placement = T.Checkpoint_inserter.Interprocedural;
+          elide = true;
+          motion = true;
+        }
+      P.Wario src
+  in
+  List.iter
+    (fun stage ->
+      Alcotest.(check string)
+        (stage ^ " key survives an inter elide/motion flip")
+        (assoc stage inter) (assoc stage inter_em))
+    [ "front"; "wir"; "place"; "mach" ];
+  Alcotest.(check bool)
+    "image key moves on an inter elide/motion flip" true
+    (assoc "image" inter <> assoc "image" inter_em);
   (* ...but under Plain there are no trials and no instrumentation *)
   let plain_base = P.stage_keys ~opts:d P.Plain src in
   let plain_inter =
@@ -328,7 +350,30 @@ let test_incremental_recompilation_paths () =
       Alcotest.(check (list (pair string bool)))
         "placement flip reuses the transformed WIR"
         [ ("place", false); ("wir", true); ("mach", false); ("image", false) ]
-        r_place)
+        r_place;
+      (* interprocedural: the audited WIR does not depend on elide/motion,
+         so the flip re-links only, and a later place-stage change under
+         the flipped options still replays the WIR the first compile
+         audited *)
+      let inter = { d with P.placement = T.Checkpoint_inserter.Interprocedural } in
+      let inter_em = { inter with P.elide = true; motion = true } in
+      let _ = P.compile_with_report ~opts:inter ~cache P.Wario src2 in
+      let _, r_flip =
+        P.compile_with_report ~opts:inter_em ~cache P.Wario src2
+      in
+      Alcotest.(check (list (pair string bool)))
+        "inter elide/motion flip re-links only"
+        [ ("place", true); ("mach", true); ("image", false) ]
+        r_flip;
+      let _, r_wir =
+        P.compile_with_report
+          ~opts:{ inter_em with P.block_profile = Some [ ("main$b0", 9) ] }
+          ~cache P.Wario src2
+      in
+      Alcotest.(check (list (pair string bool)))
+        "inter recompile after the flip hits the audited WIR"
+        [ ("place", false); ("wir", true); ("mach", false); ("image", false) ]
+        r_wir)
 
 let test_corrupt_cache_degrades_to_recompile () =
   let dir = tmp_dir "wario-test-cache" in

@@ -241,6 +241,115 @@ let test_inter_decisions_carry_verdicts () =
   Alcotest.(check bool) "function frequencies present" true
     (c.P.middle.P.func_freqs <> [])
 
+(* -- the expander audition ------------------------------------------ *)
+
+let count metrics name =
+  match Wario_obs.Metrics.find metrics name with
+  | Some (Wario_obs.Metrics.Count n) -> n
+  | _ -> Alcotest.failf "metric %s not recorded" name
+
+(* call sites of [callee] left in [caller]'s body *)
+let call_sites (prog : Wario_ir.Ir.program) caller callee =
+  match Wario_ir.Ir.find_func_opt prog caller with
+  | None -> Alcotest.failf "function %s missing" caller
+  | Some f ->
+      List.fold_left
+        (fun n (b : Wario_ir.Ir.block) ->
+          List.fold_left
+            (fun n -> function
+              | Wario_ir.Ir.Call (_, c, _) when String.equal c callee -> n + 1
+              | _ -> n)
+            n b.Wario_ir.Ir.insns)
+        0 f.Wario_ir.Ir.blocks
+
+let inlined (c : P.compiled) =
+  match c.P.middle.P.expander with
+  | Some s -> s.Wario_transforms.Expander.inlined
+  | None -> Alcotest.fail "inter compile ran no audition"
+
+(* Pins the audition's decisions to the BENCH_6 rows: trials audition on
+   the un-elided image, and these must not move the accepted sets. *)
+let test_inter_pinned_decisions () =
+  let c = P.compile ~opts:inter_opts P.Wario (bench "crc") in
+  Alcotest.(check int) "crc inlines one edge" 1 (inlined c);
+  Alcotest.(check int)
+    "crc: mc_getc -> io_refill was the inlined call" 0
+    (call_sites c.P.ir "mc_getc" "io_refill");
+  Alcotest.(check int)
+    "crc: mc_getc calls io_refill when not expanded" 1
+    (call_sites
+       (P.compile
+          ~opts:{ inter_opts with P.expander_size_limit = 0 }
+          P.Wario (bench "crc"))
+         .P.ir "mc_getc" "io_refill");
+  Alcotest.(check int) "crc dynamic checkpoints" 28171 (dyn c.P.image);
+  List.iter
+    (fun (name, ckpts) ->
+      let c = P.compile ~opts:inter_opts P.Wario (bench name) in
+      Alcotest.(check int) (name ^ " inlines nothing") 0 (inlined c);
+      Alcotest.(check int) (name ^ " dynamic checkpoints") ckpts
+        (dyn c.P.image))
+    [ ("sha", 4353); ("dijkstra", 3581) ]
+
+(* crc's 8 candidates include three call sites of crc32_stream -> mc_getc,
+   which all yield the same trial program; pass 1 accepts mc_getc ->
+   io_refill and pass 2 re-auditions the other 7 without accepting any.
+   cost_of therefore runs 1 (base) + 8 + 7 = 16 times, and 6 of those
+   selections were already compiled. *)
+let test_audition_counters () =
+  let metrics = Wario_obs.Metrics.create () in
+  let spans = Wario_obs.Span.create () in
+  let _ = P.compile ~metrics ~spans ~opts:inter_opts P.Wario (bench "crc") in
+  let trials = count metrics "middle.expander.trials"
+  and memo_hits = count metrics "middle.expander.memo_hits"
+  and cands = count metrics "middle.expander.candidates" in
+  Alcotest.(check int) "candidates" 8 cands;
+  Alcotest.(check int) "memo hits" 6 memo_hits;
+  Alcotest.(check int) "every cost_of call is a trial or a memo hit"
+    (1 + cands + (cands - 1))
+    (trials + memo_hits);
+  Alcotest.(check int) "no unrunnable trial" 0
+    (count metrics "middle.expander.trial_unrunnable");
+  (* the same counts ride on the one audition span *)
+  let rec find (s : Wario_obs.Span.span) =
+    if s.Wario_obs.Span.sp_name = "middle.expander_trials" then Some s
+    else List.find_map find s.Wario_obs.Span.sp_children
+  in
+  match List.find_map find (Wario_obs.Span.roots spans) with
+  | None -> Alcotest.fail "no middle.expander_trials span"
+  | Some s ->
+      let ctr k = List.assoc_opt k s.Wario_obs.Span.sp_counters in
+      Alcotest.(check (option int)) "span trials" (Some trials) (ctr "trials");
+      Alcotest.(check (option int))
+        "span memo_hits" (Some memo_hits) (ctr "memo_hits");
+      Alcotest.(check bool)
+        "no per-trial child span" true
+        (s.Wario_obs.Span.sp_children = [])
+
+(* A program whose every trial runs out of fuel: the audition rejects the
+   trials as unrunnable (counted), and the compile keeps the un-expanded
+   program instead of failing. *)
+let test_unrunnable_trials_keep_program () =
+  let src =
+    {|
+int g;
+int bump(int d) { g = g + d; return g; }
+int main(void) { while (1) { bump(1); } return 0; }
+|}
+  in
+  let metrics = Wario_obs.Metrics.create () in
+  let c = P.compile ~metrics ~opts:inter_opts P.Wario src in
+  Alcotest.(check bool) "bump is a candidate" true
+    (count metrics "middle.expander.candidates" > 0);
+  Alcotest.(check int) "nothing inlined" 0 (inlined c);
+  let unexpanded =
+    P.compile ~opts:{ inter_opts with P.expander_size_limit = 0 } P.Wario src
+  in
+  Alcotest.(check bool) "image of the un-expanded program" true
+    (Marshal.to_string c.P.image [] = Marshal.to_string unexpanded.P.image []);
+  Alcotest.(check int) "the base trial was unrunnable" 1
+    (count metrics "middle.expander.trial_unrunnable")
+
 let suite =
   [
     Alcotest.test_case "mangle agrees with isel" `Quick
@@ -262,4 +371,10 @@ let suite =
       test_inter_certified_same_results;
     Alcotest.test_case "inter: decisions carry certifier verdicts" `Slow
       test_inter_decisions_carry_verdicts;
+    Alcotest.test_case "inter: pinned audition decisions" `Slow
+      test_inter_pinned_decisions;
+    Alcotest.test_case "inter: audition trial and memo counters" `Slow
+      test_audition_counters;
+    Alcotest.test_case "inter: unrunnable trials keep the program" `Slow
+      test_unrunnable_trials_keep_program;
   ]

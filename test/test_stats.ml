@@ -127,8 +127,8 @@ let test_real_artifacts_load () =
         | Ok _ -> ()
         | Error e -> Alcotest.fail (file ^ ": " ^ e))
     [ "BENCH_4.json"; "BENCH_5.json"; "BENCH_6.json"; "BENCH_7.json";
-      "../BENCH_4.json"; "../BENCH_5.json"; "../BENCH_6.json";
-      "../BENCH_7.json" ]
+      "BENCH_9.json"; "../BENCH_4.json"; "../BENCH_5.json";
+      "../BENCH_6.json"; "../BENCH_7.json"; "../BENCH_9.json" ]
 
 (* ------------------------------------------------------------------ *)
 (* Trend                                                                *)
