@@ -137,19 +137,17 @@ let resolve_jobs = function
 
 let engine_arg =
   let engines =
-    [
-      ("auto", E.Emulator.Auto);
-      ("reference", E.Emulator.Reference);
-      ("uop", E.Emulator.Uop);
-      ("block", E.Emulator.Block);
-    ]
+    [ ("reference", E.Emulator.Reference); ("block", E.Emulator.Block) ]
   in
   Arg.(
     value
-    & opt (enum engines) E.Emulator.Auto
+    & opt (enum engines) E.Emulator.Block
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Emulator engine: $(b,auto) (default — the block translator when            the run is eligible, the instrumented reference interpreter            otherwise), $(b,reference), $(b,uop) (the predecoded micro-op            loop), or $(b,block) (basic blocks fused into closures).  Every            engine produces byte-identical results; the selection only            changes throughput.")
+          "Emulator engine: $(b,block) (default — basic blocks compiled \
+           to closures when the run is eligible, the instrumented reference \
+           interpreter otherwise) or $(b,reference).  Both engines produce \
+           byte-identical results; the selection only changes throughput.")
 
 let opts_of ?max_region ?profile ~no_opt unroll =
   {
@@ -833,10 +831,11 @@ let do_campaign ~config_envs ~workloads ~schedules ~small ~min_coverage
     }
   in
   let log = X.serialized (fun s -> Printf.printf "  %s\n%!" s) in
+  (* no job count: the report must be byte-identical for any [jobs] *)
   Printf.printf
     "campaign: %d environment(s) × %d workload(s), budget %d schedules per \
-     case, seed %Ld, %d job(s)\n%!"
-    (List.length config_envs) (List.length workloads) budget seed jobs;
+     case, seed %Ld\n%!"
+    (List.length config_envs) (List.length workloads) budget seed;
   let reports = V.Campaign.run ~log ~spans config in
   print_string (Wario.Report.campaign_table (V.Campaign.report_rows reports));
   (match coverage_out with
@@ -972,11 +971,12 @@ let do_verify envs workloads schedules seed exhaustive_limit unroll max_region
           let rejected = V.Harness.static_precheck ~log config in
           Printf.printf "static pre-check: %d rejection(s)\n%!"
             (List.length rejected);
+          (* no job count: the report must be byte-identical for any
+             [jobs] *)
           Printf.printf
             "fault-injection sweep: %d environment(s) × %d workload(s), ≥%d \
-             schedules each, seed %Ld, %d job(s)\n%!"
-            (List.length config_envs) (List.length workloads) schedules seed
-            jobs;
+             schedules each, seed %Ld\n%!"
+            (List.length config_envs) (List.length workloads) schedules seed;
           let reports =
             O.Span.with_span spans "verify.sweep" (fun () ->
                 let reports = V.Harness.sweep ~log config in

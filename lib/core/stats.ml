@@ -25,7 +25,7 @@ type point = {
 type tpoint = {
   tp_program : string;
   tp_ref_ips : float;
-  tp_uop_ips : float;
+  tp_uop_ips : float option;
   tp_block_ips : float;
 }
 
@@ -61,9 +61,13 @@ let generation_of_json ~label (doc : J.t) : (generation, string) result =
       Option.value ~default:false
         (Option.bind (J.member "small" doc) J.to_bool)
     in
+    (* perf artefacts: the fast engine's throughput ("fast_*" named the
+       retired uop engine; later generations carry only the block one) *)
     let ips =
       Option.bind (J.member "emulator" doc) (fun e ->
-          Option.bind (J.member "fast_instr_per_s" e) J.to_float)
+          match Option.bind (J.member "fast_instr_per_s" e) J.to_float with
+          | Some f -> Some f
+          | None -> Option.bind (J.member "block_instr_per_s" e) J.to_float)
     in
     (* emu artefacts (BENCH_7) carry per-engine throughput, not placement
        variants: their "programs" array has no "selected"/"variants" *)
@@ -80,18 +84,20 @@ let generation_of_json ~label (doc : J.t) : (generation, string) result =
                   | Some s -> s
                   | None -> fail "emu program missing \"name\""
                 in
+                let eng_opt field =
+                  Option.bind (J.member "continuous" p) (fun c ->
+                      Option.bind (J.member field c) J.to_float)
+                in
                 let eng field =
-                  match
-                    Option.bind (J.member "continuous" p) (fun c ->
-                        Option.bind (J.member field c) J.to_float)
-                  with
+                  match eng_opt field with
                   | Some f -> f
                   | None -> fail "emu program %S: continuous missing %S" name field
                 in
                 {
                   tp_program = name;
                   tp_ref_ips = eng "reference_instr_per_s";
-                  tp_uop_ips = eng "uop_instr_per_s";
+                  (* only generations before the uop engine's removal *)
+                  tp_uop_ips = eng_opt "uop_instr_per_s";
                   tp_block_ips = eng "block_instr_per_s";
                 })
               progs
@@ -341,8 +347,10 @@ let render_trend (gens : generation list) : string =
                  (function
                    | None -> "-"
                    | Some t ->
-                       Printf.sprintf "%.0f/%.0f/%.0f" (t.tp_ref_ips /. 1e6)
-                         (t.tp_uop_ips /. 1e6)
+                       Printf.sprintf "%.0f/%s/%.0f" (t.tp_ref_ips /. 1e6)
+                         (match t.tp_uop_ips with
+                         | Some u -> Printf.sprintf "%.0f" (u /. 1e6)
+                         | None -> "-")
                          (t.tp_block_ips /. 1e6))
                  r.th_cells)
             @ [ fmt_delta r.th_block_delta_pct ])

@@ -22,9 +22,9 @@ type divergence =
 val golden :
   ?engine:Wario_emulator.Emulator.engine -> Wario.Pipeline.compiled -> golden
 (** Continuous-power reference run (via the stepping API, so the final
-    memory digest is captured).  [engine] (default [Auto]) is threaded to
+    memory digest is captured).  [engine] (default [Block]) is threaded to
     {!Wario_emulator.Emulator.run_batch}; oracle instances keep the WAR
-    verifier on, so every engine resolves to the instrumented reference
+    verifier on, so both engines resolve to the instrumented reference
     path and the verdicts are engine-independent by construction. *)
 
 val golden_violations :

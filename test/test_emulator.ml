@@ -389,7 +389,7 @@ let test_region_stats () =
     (float_of_int summary.rs_median <= summary.rs_mean +. 1.);
   Alcotest.(check bool) "max >= median" true (summary.rs_max >= summary.rs_median)
 
-(* --- macro-stepping and the fast path -------------------------------- *)
+(* --- macro-stepping and the block engine ---------------------------- *)
 
 let drive_step st =
   let rec go () =
@@ -405,7 +405,7 @@ let drive_batch st n =
   go ();
   E.Emulator.result st
 
-(* [run_batch] on a fast-path-eligible instance must reproduce per-[step]
+(* [run_batch] on a block-engine-eligible instance must reproduce per-[step]
    execution exactly — result record and non-volatile digest — both on
    continuous power and across reboots under a tight periodic supply. *)
 let test_run_batch_matches_step () =
@@ -452,14 +452,19 @@ let drive_engine engine st =
   go ();
   E.Emulator.result st
 
+let fallback_steps st = (E.Emulator.engine_stats st).E.Emulator.es_fallback_steps
+
 (* A snapshot taken while the pc is parked {e inside} a basic block (after k
    single steps) must resume correctly on the block engine in both copies:
    the engine may not assume dispatch ever starts at a leader.  Swept over
-   k so the clone point crosses many in-block offsets. *)
+   k so the clone point crosses many in-block offsets; at least one resume
+   must go through the reference-step fallback, or the sweep proves
+   nothing about it. *)
 let test_block_clone_mid_block () =
   let m = Wario_workloads.Micro.find "rmw_loop" in
   let c = P.compile P.Wario m.Wario_workloads.Micro.source in
   let want = E.Emulator.run ~verify:false c.P.image in
+  let fallbacks = ref 0 in
   List.iter
     (fun k ->
       let st = E.Emulator.create ~verify:false c.P.image in
@@ -467,6 +472,7 @@ let test_block_clone_mid_block () =
       let snap = E.Emulator.clone st in
       let r_orig = drive_engine E.Emulator.Block st in
       let r_snap = drive_engine E.Emulator.Block snap in
+      fallbacks := !fallbacks + fallback_steps st + fallback_steps snap;
       Alcotest.(check bool)
         (Printf.sprintf "original resumed mid-block at k=%d" k)
         true (r_orig = want);
@@ -476,7 +482,9 @@ let test_block_clone_mid_block () =
       Alcotest.(check int64)
         (Printf.sprintf "clone digest at k=%d" k)
         (E.Emulator.nv_digest st) (E.Emulator.nv_digest snap))
-    [ 1; 2; 3; 5; 7; 11; 17; 23; 31; 41 ]
+    [ 1; 2; 3; 5; 7; 11; 17; 23; 31; 41 ];
+  Alcotest.(check bool) "some mid-block resume took the fallback" true
+    (!fallbacks > 0)
 
 (* Interrupts make the block engine ineligible: a Block request must fall
    back to the instrumented reference path — never dispatching a fused
@@ -498,7 +506,8 @@ let test_block_irq_fallback () =
    including the {e last} instruction of a block, where the hoisted
    power check and the block-boundary fallback meet.  Every budget must
    be byte-identical to the reference engine, result record (waste and
-   failure_sites included) and non-volatile digest alike. *)
+   failure_sites included) and non-volatile digest alike, and some budget
+   must exercise the reference-step fallback at a power edge. *)
 let test_block_power_edge_sweep () =
   let m = Wario_workloads.Micro.find "rmw_loop" in
   let c = P.compile P.Wario m.Wario_workloads.Micro.source in
@@ -506,19 +515,23 @@ let test_block_power_edge_sweep () =
   let base =
     400 + 64 + List.fold_left max 0 cont.E.Emulator.region_sizes
   in
+  let fallbacks = ref 0 in
   for budget = base to base + 64 do
     let supply = E.Power.Periodic budget in
     let a = E.Emulator.create ~verify:false ~supply c.P.image in
     let b = E.Emulator.create ~verify:false ~supply c.P.image in
     let ra = drive_engine E.Emulator.Reference a in
     let rb = drive_engine E.Emulator.Block b in
+    fallbacks := !fallbacks + fallback_steps b;
     Alcotest.(check bool)
       (Printf.sprintf "budget=%d: block = reference" budget)
       true (rb = ra);
     Alcotest.(check int64)
       (Printf.sprintf "budget=%d: nv digest" budget)
       (E.Emulator.nv_digest a) (E.Emulator.nv_digest b)
-  done
+  done;
+  Alcotest.(check bool) "some power edge took the fallback" true
+    (!fallbacks > 0)
 
 (* WARIO_SAVE_ALL is sampled exactly once, at [create]: an instance created
    while the flag is clear must behave as save-all-off even if the flag is

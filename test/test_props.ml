@@ -246,16 +246,16 @@ let prop_interrupts_safe =
           (List.length r.E.Emulator.violations)
       else true)
 
-(* The fast interpreter loop must be observably indistinguishable from the
-   per-step reference loop: same [result] record (cycles, instruction
+(* The block engine must be observably indistinguishable from the per-step
+   reference loop: same [result] record (cycles, instruction
    counts, checkpoint causes, region sizes, waste decomposition, per-callee
    call profile, output, boots...) and, when a run dies, the same
    exception.  Exercised across power supplies — including periods tight
    enough to force many reboots — and, via [irq_period], through the
    reference fallback inside [run_batch]. *)
-let prop_fast_equals_reference =
+let prop_block_equals_reference =
   QCheck.Test.make
-    ~name:"random programs: uop and block engines = reference engine"
+    ~name:"random programs: block engine = reference engine"
     ~count:12
     QCheck.(pair arbitrary_program (int_bound 0x3fffffff))
     (fun (src, seed) ->
@@ -268,9 +268,7 @@ let prop_fast_equals_reference =
         | Error e -> "raised " ^ e
       in
       let engine_name = function
-        | E.Emulator.Uop -> "uop"
         | E.Emulator.Block -> "block"
-        | E.Emulator.Auto -> "auto"
         | E.Emulator.Reference -> "reference"
       in
       (* a random schedule of on-period cuts derived from the generated
@@ -306,7 +304,7 @@ let prop_fast_equals_reference =
                        (P.environment_name env)
                        (E.Power.describe supply) irq (engine_name engine)
                        (describe fast) (describe refr))
-                [ E.Emulator.Uop; E.Emulator.Block ])
+                [ E.Emulator.Block ])
             [
               (E.Power.Continuous, 0);
               (E.Power.Periodic 2000, 0);
@@ -371,7 +369,7 @@ let suite =
   List.map to_alcotest
     ([
        prop_transforms_preserve_ir;
-       prop_fast_equals_reference;
+       prop_block_equals_reference;
        prop_intermittent_agrees;
        prop_interrupts_safe;
      ]

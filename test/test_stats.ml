@@ -35,11 +35,16 @@ let perf_gen label =
   | Ok g -> g
   | Error e -> Alcotest.fail (label ^ ": " ^ e)
 
+(* [u = None]: a generation written after the uop engine's removal *)
 let emu_gen label progs =
   let prog (name, r, u, b) =
     Printf.sprintf
-      {|{"name":%S,"continuous":{"reference_instr_per_s":%f,"uop_instr_per_s":%f,"block_instr_per_s":%f}}|}
-      name r u b
+      {|{"name":%S,"continuous":{"reference_instr_per_s":%f,%s"block_instr_per_s":%f}}|}
+      name r
+      (match u with
+      | Some u -> Printf.sprintf {|"uop_instr_per_s":%f,|} u
+      | None -> "")
+      b
   in
   let body =
     Printf.sprintf
@@ -80,6 +85,17 @@ let test_generation_parsing () =
   Alcotest.(check bool) "perf has no points" true (p.St.g_points = []);
   Alcotest.(check bool) "perf carries ips" true
     (p.St.g_emulator_ips = Some 1.0e8);
+  (* perf generations without the retired uop engine's "fast_*" fields
+     report the block engine's throughput *)
+  (match
+     St.generation_of_json ~label:"P2"
+       (Result.get_ok
+          (J.parse {|{"bench":"perf","emulator":{"block_instr_per_s":2.0e8}}|}))
+   with
+  | Ok g ->
+      Alcotest.(check bool) "perf falls back to block ips" true
+        (g.St.g_emulator_ips = Some 2.0e8)
+  | Error e -> Alcotest.fail e);
   (* a malformed selected variant is an error, not a silent zero *)
   let bad =
     {|{"bench":"place","programs":[{"name":"x","selected":"g","variants":{"g":{"cycles":5}}}]}|}
@@ -89,14 +105,14 @@ let test_generation_parsing () =
   | Ok _ -> Alcotest.fail "missing dyn_ckpts accepted"
 
 let test_emu_generation_parsing () =
-  let g = emu_gen "E1" [ ("aes", 7.0e7, 1.2e8, 2.2e8) ] in
+  let g = emu_gen "E1" [ ("aes", 7.0e7, Some 1.2e8, 2.2e8) ] in
   Alcotest.(check string) "kind" "emu" g.St.g_kind;
   Alcotest.(check bool) "emu has no placement points" true (g.St.g_points = []);
   (match g.St.g_throughput with
   | [ t ] ->
       Alcotest.(check string) "program" "aes" t.St.tp_program;
       Alcotest.(check bool) "reference ips" true (t.St.tp_ref_ips = 7.0e7);
-      Alcotest.(check bool) "uop ips" true (t.St.tp_uop_ips = 1.2e8);
+      Alcotest.(check bool) "uop ips" true (t.St.tp_uop_ips = Some 1.2e8);
       Alcotest.(check bool) "block ips" true (t.St.tp_block_ips = 2.2e8)
   | ts ->
       Alcotest.fail
@@ -111,6 +127,40 @@ let test_emu_generation_parsing () =
   match St.generation_of_json ~label:"B" (Result.get_ok (J.parse bad)) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing reference_instr_per_s accepted"
+
+let contains s needle =
+  let nl = String.length needle in
+  let rec found i =
+    i + nl <= String.length s && (String.sub s i nl = needle || found (i + 1))
+  in
+  found 0
+
+(* reference/block-only emu generations (no uop column) parse, trend
+   against older three-engine generations and render "-" for the missing
+   uop value *)
+let test_emu_generation_without_uop () =
+  let old = emu_gen "E1" [ ("aes", 7.0e7, Some 1.2e8, 2.0e8) ] in
+  let g = emu_gen "E2" [ ("aes", 8.0e7, None, 2.5e8) ] in
+  (match g.St.g_throughput with
+  | [ t ] ->
+      Alcotest.(check bool) "reference ips" true (t.St.tp_ref_ips = 8.0e7);
+      Alcotest.(check bool) "no uop ips" true (t.St.tp_uop_ips = None);
+      Alcotest.(check bool) "block ips" true (t.St.tp_block_ips = 2.5e8)
+  | ts ->
+      Alcotest.fail
+        (Printf.sprintf "expected 1 tpoint, got %d" (List.length ts)));
+  (match St.throughput_trend [ old; g ] with
+  | [ r ] -> (
+      match r.St.th_block_delta_pct with
+      | Some d when Float.abs (d -. 25.0) < 1e-9 -> ()
+      | _ -> Alcotest.fail "aes block delta should be +25%")
+  | rows ->
+      Alcotest.fail
+        (Printf.sprintf "expected 1 row, got %d" (List.length rows)));
+  let s = St.render_trend [ old; g ] in
+  Alcotest.(check bool) "old cell keeps its uop value" true
+    (contains s "70/120/200");
+  Alcotest.(check bool) "missing uop renders as -" true (contains s "80/-/250")
 
 let test_real_artifacts_load () =
   (* the committed artifacts must stay parseable by the stats engine *)
@@ -127,8 +177,9 @@ let test_real_artifacts_load () =
         | Ok _ -> ()
         | Error e -> Alcotest.fail (file ^ ": " ^ e))
     [ "BENCH_4.json"; "BENCH_5.json"; "BENCH_6.json"; "BENCH_7.json";
-      "BENCH_9.json"; "../BENCH_4.json"; "../BENCH_5.json";
-      "../BENCH_6.json"; "../BENCH_7.json"; "../BENCH_9.json" ]
+      "BENCH_9.json"; "BENCH_10.json"; "../BENCH_4.json"; "../BENCH_5.json";
+      "../BENCH_6.json"; "../BENCH_7.json"; "../BENCH_9.json";
+      "../BENCH_10.json" ]
 
 (* ------------------------------------------------------------------ *)
 (* Trend                                                                *)
@@ -186,8 +237,8 @@ let test_trend_degenerate () =
     [ []; [ single ]; [ perf_gen "P" ]; [ z1; z2 ] ]
 
 let test_throughput_trend () =
-  let e1 = emu_gen "E1" [ ("aes", 1e7, 2e7, 1.0e8); ("sha", 1e7, 2e7, 5e7) ] in
-  let e2 = emu_gen "E2" [ ("aes", 1e7, 2e7, 1.25e8) ] in
+  let e1 = emu_gen "E1" [ ("aes", 1e7, Some 2e7, 1.0e8); ("sha", 1e7, Some 2e7, 5e7) ] in
+  let e2 = emu_gen "E2" [ ("aes", 1e7, Some 2e7, 1.25e8) ] in
   let place = place_gen "G" [ ("crc", "g", 10, 100) ] in
   let rows = St.throughput_trend [ place; e1; e2 ] in
   Alcotest.(check (list string)) "rows in first-appearance order"
@@ -209,13 +260,7 @@ let test_throughput_trend () =
   (* the emu table renders without nan alongside placement tables *)
   let s = St.render_trend [ place; e1; e2 ] in
   Alcotest.(check bool) "render mentions block column" true
-    (let needle = "d-block" in
-     let nl = String.length needle in
-     let rec found i =
-       i + nl <= String.length s
-       && (String.sub s i nl = needle || found (i + 1))
-     in
-     found 0)
+    (contains s "d-block")
 
 (* ------------------------------------------------------------------ *)
 (* Span statistics                                                      *)
@@ -331,7 +376,7 @@ let test_gate_floor () =
       {|{"budgets":[{"program":"aes","min_instr_per_s":1.0e8},
                     {"program":"sha","min_instr_per_s":5.0e7}]}|}
   in
-  let healthy = emu_gen "E" [ ("aes", 7e7, 1.2e8, 2.2e8) ] in
+  let healthy = emu_gen "E" [ ("aes", 7e7, Some 1.2e8, 2.2e8) ] in
   (* aes clears its floor; sha appears in no emu generation *)
   (match St.gate ~budgets [ healthy ] with
   | [ b ] ->
@@ -348,7 +393,7 @@ let test_gate_floor () =
   Alcotest.(check bool) "floor-only budget passes without placement gens" true
     (St.gate ~budgets:aes_only [ healthy ] = []);
   (* falling under the floor breaches, with the actual and the floor *)
-  let regressed = emu_gen "R" [ ("aes", 7e7, 1.2e8, 0.5e8) ] in
+  let regressed = emu_gen "R" [ ("aes", 7e7, Some 1.2e8, 0.5e8) ] in
   (match St.gate ~budgets:aes_only [ regressed ] with
   | [ b ] ->
       Alcotest.(check string) "floor breached" "instr_per_s" b.St.br_metric;
@@ -392,6 +437,8 @@ let suite =
       test_generation_parsing;
     Alcotest.test_case "stats: emu generation parsing" `Quick
       test_emu_generation_parsing;
+    Alcotest.test_case "stats: emu generation without uop" `Quick
+      test_emu_generation_without_uop;
     Alcotest.test_case "stats: committed artifacts load" `Quick
       test_real_artifacts_load;
     Alcotest.test_case "stats: trend deltas" `Quick test_trend_deltas;
