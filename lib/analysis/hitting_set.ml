@@ -49,7 +49,10 @@ struct
             effort, including budget-exhausted fallbacks *)
   }
 
-  (* intern elements (hashed: candidate families can hold millions) *)
+  (* Intern elements to dense ids (hashed: candidate families can hold
+     millions), in first-occurrence order over the sorted, duplicate-free
+     sets.  Every solver below runs on the one interning a public entry
+     point makes. *)
   let intern_sets (sets : Elt.t list list) =
     let id_of : (Elt.t, int) Hashtbl.t = Hashtbl.create 4096 in
     let elems = ref [] in
@@ -73,16 +76,18 @@ struct
     in
     (sets, Array.of_list (List.rev !elems))
 
-  let solve_nonempty ~(cost : Elt.t -> float) (sets : Elt.t list list) :
-      Elt.t list =
-    let sets, elems = intern_sets sets in
-    let ne = Array.length elems in
-    let costs = Array.map cost elems in
-    (* element -> indices of sets containing it *)
+  (* element id -> indices of the sets containing it *)
+  let containing_of (sets : int array array) ne =
     let containing = Array.make ne [] in
     Array.iteri
       (fun si s -> Array.iter (fun e -> containing.(e) <- si :: containing.(e)) s)
       sets;
+    containing
+
+  (* Greedy cover over interned sets; element ids in pick order. *)
+  let greedy_ids (sets : int array array) containing (costs : float array) :
+      int list =
+    let ne = Array.length costs in
     let covered = Array.make (Array.length sets) false in
     let count = Array.make ne 0 in
     Array.iteri (fun e lst -> count.(e) <- List.length lst) containing;
@@ -105,7 +110,7 @@ struct
         (* stale: revalidate *)
         Wario_support.Util.Fheap.push heap current e
       else begin
-        chosen := elems.(e) :: !chosen;
+        chosen := e :: !chosen;
         List.iter
           (fun si ->
             if not covered.(si) then begin
@@ -118,6 +123,14 @@ struct
     done;
     List.rev !chosen
 
+  let first_empty sets =
+    let rec go i = function
+      | [] -> None
+      | [] :: _ -> Some i
+      | _ :: tl -> go (i + 1) tl
+    in
+    go 0 sets
+
   (** [solve ~cost sets] returns [Ok chosen] such that every input set
       contains a chosen element, or [Error (Empty_set i)] when set [i] is
       empty — an empty set is unhittable, so no cover exists.  Callers must
@@ -127,40 +140,33 @@ struct
       such as a checkpoint directly before each WAR store. *)
   let solve ~(cost : Elt.t -> float) (sets : Elt.t list list) :
       (Elt.t list, error) result =
-    let rec first_empty i = function
-      | [] -> None
-      | [] :: _ -> Some i
-      | _ :: tl -> first_empty (i + 1) tl
-    in
-    match first_empty 0 sets with
+    match first_empty sets with
     | Some i -> Error (Empty_set i)
-    | None -> Ok (solve_nonempty ~cost sets)
+    | None ->
+        let isets, elems = intern_sets sets in
+        let containing = containing_of isets (Array.length elems) in
+        Ok
+          (List.map
+             (fun i -> elems.(i))
+             (greedy_ids isets containing (Array.map cost elems)))
 
   (* Redundancy elimination for greedy covers: a greedy choice can become
      superfluous once later choices cover all its sets, so try dropping the
      chosen elements in decreasing cost order (most expensive first) and
      keep the cover property.  Never increases total cost; the result is a
-     *minimal* (though not necessarily minimum) cover. *)
-  let prune_cover ~(cost : Elt.t -> float) (sets : Elt.t list list)
-      (chosen : Elt.t list) : Elt.t list =
-    let isets, elems = intern_sets sets in
-    let ne = Array.length elems in
-    let id_of = Hashtbl.create (2 * ne) in
-    Array.iteri (fun i e -> Hashtbl.replace id_of e i) elems;
+     *minimal* (though not necessarily minimum) cover, as ids in increasing
+     order. *)
+  let prune_cover (sets : int array array) containing (costs : float array)
+      (chosen : int list) : int list =
+    let ne = Array.length costs in
     let kept = Array.make ne false in
-    List.iter
-      (fun e ->
-        match Hashtbl.find_opt id_of e with
-        | Some i -> kept.(i) <- true
-        | None -> () (* not a set member: vacuously redundant, dropped *))
-      chosen;
+    List.iter (fun e -> kept.(e) <- true) chosen;
     (* per set, how many kept elements hit it *)
-    let hits = Array.map (fun s -> Array.fold_left (fun a e -> a + if kept.(e) then 1 else 0) 0 s) isets in
-    let containing = Array.make ne [] in
-    Array.iteri
-      (fun si s -> Array.iter (fun e -> containing.(e) <- si :: containing.(e)) s)
-      isets;
-    let costs = Array.map cost elems in
+    let hits =
+      Array.map
+        (fun s -> Array.fold_left (fun a e -> a + if kept.(e) then 1 else 0) 0 s)
+        sets
+    in
     let order =
       List.init ne (fun i -> i)
       |> List.filter (fun i -> kept.(i))
@@ -177,9 +183,7 @@ struct
           List.iter (fun si -> hits.(si) <- hits.(si) - 1) containing.(e)
         end)
       order;
-    List.init ne (fun i -> i)
-    |> List.filter (fun i -> kept.(i))
-    |> List.map (fun i -> elems.(i))
+    List.init ne (fun i -> i) |> List.filter (fun i -> kept.(i))
 
   (* ---------------- weighted exact solver ---------------- *)
 
@@ -265,46 +269,57 @@ struct
 
   (* Drop duplicate and superset sets: hitting a subset hits every superset,
      so only the minimal sets constrain the cover.  Keeps exact instances
-     small (the bitmask gate is on the *reduced* family).  The
+     small (the bitmask gate is on the *reduced* family).  Duplicates are
+     found by hashing each set's whole sorted id array, so the pass costs
+     O(sum of set sizes) even when long sets share a long prefix.  The
      superset-minimality pass is quadratic with a linear subset test, so it
      only runs on families small enough to possibly pass the bitmask gate
      afterwards — larger ones are greedy-fallback territory anyway. *)
   let max_minimality_sets = 2 * max_exact_sets
 
+  module Id_set_tbl = Hashtbl.Make (struct
+    type t = int array
+
+    let equal (a : t) b = a = b
+
+    let hash (a : t) =
+      Array.fold_left (fun h x -> ((h * 31) + x) land max_int) 17 a
+  end)
+
   let reduce_family (sets : int array array) : int array array =
-    let keyed =
-      Array.map (fun s -> (Array.to_list (Array.copy s) |> List.sort compare, s)) sets
-    in
-    let seen = Hashtbl.create 64 in
+    let seen = Id_set_tbl.create 64 in
     let uniq =
-      Array.to_list keyed
-      |> List.filter (fun (k, _) ->
-             if Hashtbl.mem seen k then false
+      Array.to_list sets
+      |> List.filter_map (fun s ->
+             let k = Array.copy s in
+             Array.sort Int.compare k;
+             if Id_set_tbl.mem seen k then None
              else begin
-               Hashtbl.replace seen k ();
-               true
+               Id_set_tbl.replace seen k ();
+               Some (k, s)
              end)
     in
     let subset a b =
-      (* a ⊆ b over sorted lists *)
-      let rec go a b =
-        match (a, b) with
-        | [], _ -> true
-        | _, [] -> false
-        | x :: a', y :: b' ->
-            if x = y then go a' b' else if x > y then go a b' else false
+      (* a ⊆ b over sorted arrays *)
+      let na = Array.length a and nb = Array.length b in
+      let rec go i j =
+        i = na
+        || j < nb
+           && (if a.(i) = b.(j) then go (i + 1) (j + 1)
+               else a.(i) > b.(j) && go i (j + 1))
       in
-      go a b
+      go 0 0
     in
     let minimal =
       if List.length uniq > max_minimality_sets then uniq
       else
+        (* distinct entries differ in content, so a subset is proper *)
         List.filter
           (fun (k, _) ->
             not
               (List.exists
-                 (fun (k', _) -> k' != k && List.length k' <= List.length k
-                                 && k' <> k && subset k' k)
+                 (fun (k', _) ->
+                   k' != k && Array.length k' <= Array.length k && subset k' k)
                  uniq))
           uniq
     in
@@ -320,27 +335,26 @@ struct
   let solve_weighted ?(node_budget = default_node_budget)
       ~(cost : Elt.t -> float) (sets : Elt.t list list) :
       (solution, error) result =
-    let rec first_empty i = function
-      | [] -> None
-      | [] :: _ -> Some i
-      | _ :: tl -> first_empty (i + 1) tl
-    in
-    match first_empty 0 sets with
+    match first_empty sets with
     | Some i -> Error (Empty_set i)
     | None when sets = [] ->
         Ok { chosen = []; total_cost = 0.; optimality = Exact; nodes_explored = 0 }
     | None ->
         let isets, elems = intern_sets sets in
         let costs = Array.map cost elems in
-        let greedy = prune_cover ~cost sets (solve_nonempty ~cost sets) in
+        let containing = containing_of isets (Array.length elems) in
+        let greedy =
+          prune_cover isets containing costs (greedy_ids isets containing costs)
+        in
         let greedy_cost =
-          List.fold_left (fun a e -> a +. cost e) 0. greedy
+          List.fold_left (fun a e -> a +. costs.(e)) 0. greedy
         in
         let nodes = ref 0 in
-        let finish optimality chosen total_cost =
+        let finish optimality ids total_cost =
           Ok
             {
-              chosen = List.sort_uniq Elt.compare chosen;
+              chosen =
+                List.sort_uniq Elt.compare (List.map (fun i -> elems.(i)) ids);
               total_cost;
               optimality;
               nodes_explored = !nodes;
@@ -355,25 +369,13 @@ struct
           || Array.length reduced > max_exact_sets
           || reduced_elems > max_exact_elems
         then finish Greedy_fallback greedy greedy_cost
-        else begin
+        else
           (* seed the search with the greedy cover as the incumbent *)
-          let greedy_ids =
-            let id_of = Hashtbl.create 64 in
-            Array.iteri (fun i e -> Hashtbl.replace id_of e i) elems;
-            List.map
-              (fun e ->
-                match Hashtbl.find_opt id_of e with
-                | Some i -> i
-                | None -> assert false (* greedy only picks set members *))
-              greedy
-          in
           match
-            branch_and_bound ~budget:node_budget ~nodes reduced costs
-              greedy_ids greedy_cost
+            branch_and_bound ~budget:node_budget ~nodes reduced costs greedy
+              greedy_cost
           with
-          | ids, total ->
-              finish Exact (List.map (fun i -> elems.(i)) ids) total
+          | ids, total -> finish Exact ids total
           | exception Budget_exhausted ->
               finish Greedy_fallback greedy greedy_cost
-        end
 end

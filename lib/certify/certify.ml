@@ -310,14 +310,19 @@ let transfer (ctx : fctx) (img : Img.t) (pc : int) (st : st) : st =
   | I.SpillLd (rd, _) -> set_reg st rd D.unknown
   | I.SpillSt _ -> { st with cells = Util.Int_map.empty }
 
-(** Context-insensitive fixpoint over one function's pc range. *)
+(** Context-insensitive fixpoint over one function's pc range.  The
+    worklist pops the lowest queued pc and holds each pc at most once.
+    Code is laid out in block order, so a pc's forward predecessors are
+    usually settled before it runs, and a loop is only re-walked once its
+    back edge has changed the header's state: far fewer transfers than a
+    FIFO that re-queues a pc for every changed predecessor. *)
 let analyse_function (img : Img.t) (ctx : fctx) (inp : st option array) : unit =
   let so = slot_of_off ctx in
   inp.(ctx.lo) <- Some (entry_state ());
-  let work = Queue.create () in
-  Queue.add ctx.lo work;
-  while not (Queue.is_empty work) do
-    let pc = Queue.pop work in
+  let work = ref (Util.Int_set.singleton ctx.lo) in
+  while not (Util.Int_set.is_empty !work) do
+    let pc = Util.Int_set.min_elt !work in
+    work := Util.Int_set.remove pc !work;
     match inp.(pc) with
     | None -> ()
     | Some st ->
@@ -328,14 +333,43 @@ let analyse_function (img : Img.t) (ctx : fctx) (inp : st option array) : unit =
               match inp.(q) with
               | None ->
                   inp.(q) <- Some out;
-                  Queue.add q work
+                  work := Util.Int_set.add q !work
               | Some old ->
                   let j = join_st ~slot_of_off:so old out in
                   if not (equal_st j old) then (
                     inp.(q) <- Some j;
-                    Queue.add q work))
+                    work := Util.Int_set.add q !work))
           (Img.succs img pc)
   done
+
+(* The first intra-function edge (pc, q), in pc order, whose transfer
+   joined into q's state would still change it.  [None] means the states
+   are a post-fixpoint, whatever order the worklist visited them in. *)
+let unstable_edge (img : Img.t) (ctxs : fctx list) (inp : st option array) :
+    (int * int) option =
+  List.find_map
+    (fun ctx ->
+      let so = slot_of_off ctx in
+      let rec scan pc =
+        if pc > ctx.hi then None
+        else
+          match inp.(pc) with
+          | None -> scan (pc + 1)
+          | Some st -> (
+              let out = transfer ctx img pc st in
+              let changes q =
+                q >= ctx.lo && q <= ctx.hi
+                &&
+                match inp.(q) with
+                | None -> true
+                | Some old -> not (equal_st (join_st ~slot_of_off:so old out) old)
+              in
+              match List.find_opt changes (Img.succs img pc) with
+              | Some q -> Some (pc, q)
+              | None -> scan (pc + 1))
+      in
+      scan ctx.lo)
+    ctxs
 
 (* ------------------------------------------------------------------ *)
 (* Escape analysis (post-fixpoint sweep, mirrors [Alias]'s sources)      *)
@@ -905,12 +939,21 @@ let judge_image (img : Img.t) (ctxs : fctx list)
   in
   if rejects = [] then Certified stats else Rejected (rejects, stats)
 
-let certify (img : Img.t) : verdict =
+(* Abstract states of every function at the analysis fixpoint. *)
+let analyse_image (img : Img.t) : fctx list * (int -> fctx) * st option array =
   let n = Img.instr_count img in
   let ctxs, ctx_of = build_fctxs img in
   let inp : st option array = Array.make (max n 1) None in
   List.iter (fun c -> analyse_function img c inp) ctxs;
+  (ctxs, ctx_of, inp)
+
+let certify (img : Img.t) : verdict =
+  let ctxs, ctx_of, inp = analyse_image img in
   judge_image img ctxs ctx_of inp
+
+let fixpoint_violation (img : Img.t) : (int * int) option =
+  let ctxs, _, inp = analyse_image img in
+  unstable_edge img ctxs inp
 
 (* ------------------------------------------------------------------ *)
 (* Incremental re-certification session                                 *)
@@ -934,9 +977,7 @@ module Session = struct
 
   let create (img : Img.t) : t =
     let n = Img.instr_count img in
-    let ctxs, ctx_of = build_fctxs img in
-    let inp : st option array = Array.make (max n 1) None in
-    List.iter (fun c -> analyse_function img c inp) ctxs;
+    let ctxs, ctx_of, inp = analyse_image img in
     let preds = Array.make (max n 1) [] in
     Array.iteri
       (fun q ins ->

@@ -44,6 +44,13 @@ val certify : Wario_emulator.Image.t -> verdict
     witnesses.  Only instrumented builds can certify: the uninstrumented
     baseline fails the pop-conversion obligation by construction. *)
 
+val fixpoint_violation : Wario_emulator.Image.t -> (int * int) option
+(** Test oracle for the abstract interpretation {!certify} runs: [Some
+    (pc, q)] names the first intra-function edge, in pc order, where one
+    more transfer at [pc] joined into [q]'s state would still change that
+    state; [None] means the computed states are a post-fixpoint.  The check
+    does not depend on the order the worklist visited pcs in. *)
+
 (** Incremental re-certification for search loops that repeatedly remove
     one checkpoint from an already-certified image and re-validate (the
     checkpoint elision pass, {!Wario.Elide}).  The session caches the

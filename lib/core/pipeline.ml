@@ -328,8 +328,8 @@ let middle_place ~opts ~metrics ~spans (env : environment) (prog : Ir.program)
           S.with_span spans "middle.checkpoint_inserter" (fun () ->
               let st =
                 M.time metrics "middle.checkpoint_inserter.ms" (fun () ->
-                    T.Checkpoint_inserter.run ~mode ~placement:opts.placement
-                      ?profile ?global prog)
+                    T.Checkpoint_inserter.run ~metrics ~mode
+                      ~placement:opts.placement ?profile ?global prog)
               in
               S.add_counter ~by:st.T.Checkpoint_inserter.wars spans "wars";
               S.add_counter ~by:st.T.Checkpoint_inserter.checkpoints spans

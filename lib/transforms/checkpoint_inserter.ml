@@ -106,151 +106,163 @@ let insert_checkpoints f (points : point list) (cause : ckpt_cause) =
         (List.sort (fun a b -> compare b a) idxs))
     by_block
 
-let run_func ~(mode : Analysis.Alias.mode) ~(placement : placement)
+let run_func ~metrics ~(mode : Analysis.Alias.mode) ~(placement : placement)
     ~(profile : Analysis.Costmodel.profile option)
     ~(global : (string -> label -> float) option) ~escapes (f : func) :
     int * int * Analysis.Hitting_set.optimality option * int
     * placement_info list =
-  let dbg = Sys.getenv_opt "WARIO_DEBUG_CPI" <> None in
-  let now () = if dbg then Unix.gettimeofday () else 0. in
-  let t0 = now () in
-  let cfg = Analysis.Cfg.build f in
-  let dom = Analysis.Dominance.build cfg in
-  let loops = Analysis.Loops.build cfg dom in
-  let t1 = now () in
-  let alias = Analysis.Alias.build ~mode ~escapes f in
-  let t2 = now () in
-  let pdg = Analysis.Pdg.build alias cfg f in
-  let wars = Analysis.Pdg.wars pdg in
-  let t3 = now () in
-  if dbg && t3 -. t0 > 0.2 then
-    Printf.eprintf "cpi %-14s cfg=%.1f alias=%.1f wars=%.1f (#wars=%d)
-%!"
-      f.fname (t1 -. t0) (t2 -. t1) (t3 -. t2) (List.length wars);
+  let module M = Wario_obs.Metrics in
+  let cfg, loops, dom, wars =
+    M.time metrics "middle.checkpoint_inserter.analysis.ms" (fun () ->
+        let cfg = Analysis.Cfg.build f in
+        let dom = Analysis.Dominance.build cfg in
+        let loops = Analysis.Loops.build cfg dom in
+        let alias = Analysis.Alias.build ~mode ~escapes f in
+        let pdg = Analysis.Pdg.build alias cfg f in
+        (cfg, loops, dom, Analysis.Pdg.wars pdg))
+  in
   if wars = [] then (0, 0, None, 0, [])
   else begin
-    (* Subsumption: for a fixed store and load block, the pair with the
-       latest load has the smallest candidate set, and that set is a subset
-       of every earlier pair's (all our candidate constructions shrink
-       monotonically as the load moves later).  Covering it covers them
-       all, so only the latest-load pair per (store, load block) needs a
-       set — WAR counts grow quadratically on unrolled code, and this
-       keeps the hitting-set input linear in the store count. *)
-    let best : (point * label * bool, Analysis.Pdg.war) Hashtbl.t =
-      Hashtbl.create 256
+    let reduced, sets =
+      M.time metrics "middle.checkpoint_inserter.candidates.ms" (fun () ->
+          (* Subsumption: for a fixed store and load block, the pair with
+             the latest load has the smallest candidate set, and that set
+             is a subset of every earlier pair's (all our candidate
+             constructions shrink monotonically as the load moves later).
+             Covering it covers them all, so only the latest-load pair per
+             (store, load block) needs a set — WAR counts grow
+             quadratically on unrolled code, and this keeps the
+             hitting-set input linear in the store count. *)
+          let best : (point * label * bool, Analysis.Pdg.war) Hashtbl.t =
+            Hashtbl.create 256
+          in
+          List.iter
+            (fun (w : Analysis.Pdg.war) ->
+              let sb, si = w.war_store.mo_point in
+              let lb, li = w.war_load.mo_point in
+              (* forward same-block pairs and loop-carried same-block pairs
+                 have different candidate shapes: never subsume across
+                 kinds *)
+              let forward = lb = sb && li < si in
+              let key = (w.war_store.mo_point, lb, forward) in
+              match Hashtbl.find_opt best key with
+              | Some w' when snd w'.war_load.mo_point >= li -> ()
+              | _ -> Hashtbl.replace best key w)
+            wars;
+          let reduced = Hashtbl.fold (fun _ w acc -> w :: acc) best [] in
+          let reduced =
+            List.sort
+              (fun (a : Analysis.Pdg.war) (b : Analysis.Pdg.war) ->
+                compare
+                  (a.war_store.mo_point, a.war_load.mo_point)
+                  (b.war_store.mo_point, b.war_load.mo_point))
+              reduced
+          in
+          let lens = Hashtbl.create 64 in
+          List.iter
+            (fun b -> Hashtbl.replace lens b.bname (List.length b.insns))
+            f.blocks;
+          let block_len lbl = try Hashtbl.find lens lbl with Not_found -> 0 in
+          (reduced, List.map (candidates ~block_len dom) reduced))
     in
-    List.iter
-      (fun (w : Analysis.Pdg.war) ->
-        let sb, si = w.war_store.mo_point in
-        let lb, li = w.war_load.mo_point in
-        (* forward same-block pairs and loop-carried same-block pairs have
-           different candidate shapes: never subsume across kinds *)
-        let forward = lb = sb && li < si in
-        let key = (w.war_store.mo_point, lb, forward) in
-        match Hashtbl.find_opt best key with
-        | Some w' when snd w'.war_load.mo_point >= li -> ()
-        | _ -> Hashtbl.replace best key w)
-      wars;
-    let reduced = Hashtbl.fold (fun _ w acc -> w :: acc) best [] in
-    let reduced =
-      List.sort
-        (fun (a : Analysis.Pdg.war) (b : Analysis.Pdg.war) ->
-          compare
-            (a.war_store.mo_point, a.war_load.mo_point)
-            (b.war_store.mo_point, b.war_load.mo_point))
-        reduced
-    in
-    let lens = Hashtbl.create 64 in
-    List.iter
-      (fun b -> Hashtbl.replace lens b.bname (List.length b.insns))
-      f.blocks;
-    let block_len lbl = try Hashtbl.find lens lbl with Not_found -> 0 in
-    let sets = List.map (candidates ~block_len dom) reduced in
     let naive_placement () =
       (* unreachable via Error — [candidates] always includes the point
          before the store — but documented as the Empty_set fallback:
          checkpoint directly before every WAR store *)
       List.map (fun (w : Analysis.Pdg.war) -> w.war_store.mo_point) reduced
     in
-    let t4 = now () in
     let chosen, opt, nodes, cost =
-      match placement with
-      | Greedy ->
-          let cost (lbl, _) =
-            (* prefer shallow loop nesting; 10x per level, a trip-count
-               guess *)
-            10. ** float_of_int (loops.Analysis.Loops.depth_of lbl)
-          in
-          ( (match Point_hs.solve ~cost sets with
-            | Ok chosen -> chosen
-            | Error (Analysis.Hitting_set.Empty_set _) -> naive_placement ()),
-            None,
-            0,
-            cost )
-      | Cost_guided | Interprocedural ->
-          (* Under Interprocedural the fallback weight of a block is its
-             call-graph-scaled global frequency; measured profile counts
-             (already global — the pilot counts every dynamic entry) still
-             override per label, and are now commensurate with the
-             fallback instead of mixing per-run counts with per-invocation
-             estimates. *)
-          let static = Analysis.Costmodel.static_weights cfg loops in
-          let base =
-            match (placement, global) with
-            | Interprocedural, Some g -> fun lbl -> g f.fname lbl
-            | _ -> static
-          in
-          let weights =
-            match profile with
-            | None -> base
-            | Some p ->
-                Analysis.Costmodel.profile_weights p ~fname:f.fname
-                  ~fallback:base
-          in
-          let cost (lbl, _) = weights lbl in
-          (match Point_hs.solve_weighted ~cost sets with
-          | Ok sol ->
-              ( sol.Point_hs.chosen,
-                Some sol.Point_hs.optimality,
-                sol.Point_hs.nodes_explored,
+      M.time metrics "middle.checkpoint_inserter.solve.ms" (fun () ->
+          match placement with
+          | Greedy ->
+              let cost (lbl, _) =
+                (* prefer shallow loop nesting; 10x per level, a
+                   trip-count guess *)
+                10. ** float_of_int (loops.Analysis.Loops.depth_of lbl)
+              in
+              ( (match Point_hs.solve ~cost sets with
+                | Ok chosen -> chosen
+                | Error (Analysis.Hitting_set.Empty_set _) ->
+                    naive_placement ()),
+                None,
+                0,
                 cost )
-          | Error (Analysis.Hitting_set.Empty_set _) ->
-              (naive_placement (), None, 0, cost))
+          | Cost_guided | Interprocedural -> (
+              (* Under Interprocedural the fallback weight of a block is
+                 its call-graph-scaled global frequency; measured profile
+                 counts (already global — the pilot counts every dynamic
+                 entry) still override per label, and are now commensurate
+                 with the fallback instead of mixing per-run counts with
+                 per-invocation estimates. *)
+              let static = Analysis.Costmodel.static_weights cfg loops in
+              let base =
+                match (placement, global) with
+                | Interprocedural, Some g -> fun lbl -> g f.fname lbl
+                | _ -> static
+              in
+              let weights =
+                match profile with
+                | None -> base
+                | Some p ->
+                    Analysis.Costmodel.profile_weights p ~fname:f.fname
+                      ~fallback:base
+              in
+              let cost (lbl, _) = weights lbl in
+              match Point_hs.solve_weighted ~cost sets with
+              | Ok sol ->
+                  ( sol.Point_hs.chosen,
+                    Some sol.Point_hs.optimality,
+                    sol.Point_hs.nodes_explored,
+                    cost )
+              | Error (Analysis.Hitting_set.Empty_set _) ->
+                  (naive_placement (), None, 0, cost)))
     in
-    let t5 = now () in
     let infos =
-      List.map
-        (fun ((lbl, i) as pt) ->
-          {
-            pi_func = f.fname;
-            pi_block = lbl;
-            pi_index = i;
-            pi_weight = cost pt;
-            pi_wars =
-              List.length
-                (List.filter (List.exists (fun q -> compare_point q pt = 0))
-                   sets);
-          })
-        (Wario_support.Util.dedup_stable chosen)
+      M.time metrics "middle.checkpoint_inserter.annotate.ms" (fun () ->
+          (* pi_wars in one pass over the sets: each set counts once for
+             every chosen point it lists, however often it lists it *)
+          let points = Wario_support.Util.dedup_stable chosen in
+          let hits = Hashtbl.create 64 in
+          List.iter
+            (fun pt -> Hashtbl.replace hits pt (ref 0, ref (-1)))
+            points;
+          List.iteri
+            (fun si set ->
+              List.iter
+                (fun q ->
+                  match Hashtbl.find_opt hits q with
+                  | Some (n, last) when !last <> si ->
+                      incr n;
+                      last := si
+                  | _ -> ())
+                set)
+            sets;
+          let infos =
+            List.map
+              (fun ((lbl, i) as pt) ->
+                {
+                  pi_func = f.fname;
+                  pi_block = lbl;
+                  pi_index = i;
+                  pi_weight = cost pt;
+                  pi_wars = !(fst (Hashtbl.find hits pt));
+                })
+              points
+          in
+          insert_checkpoints f chosen Middle_end_war;
+          infos)
     in
-    insert_checkpoints f chosen Middle_end_war;
-    if dbg && t5 -. t3 > 0.2 then
-      Printf.eprintf "cpi %-14s cand=%.1f hs=%.1f insert=%.1f chosen=%d
-%!"
-        f.fname (t4 -. t3) (t5 -. t4)
-        (now () -. t5)
-        (List.length chosen);
     (List.length wars, List.length chosen, opt, nodes, infos)
   end
 
 (** Insert middle-end checkpoints for the whole program; returns statistics. *)
-let run ?(mode = Analysis.Alias.Precise) ?(placement = Cost_guided) ?profile
-    ?global (p : program) : stats =
+let run ?(metrics = Wario_obs.Metrics.disabled) ?(mode = Analysis.Alias.Precise)
+    ?(placement = Cost_guided) ?profile ?global (p : program) : stats =
   let escapes = Analysis.Alias.escapes_of_program p in
   List.fold_left
     (fun acc f ->
       let wars, cps, opt, nodes, infos =
-        run_func ~mode ~placement ~profile ~global ~escapes f
+        run_func ~metrics ~mode ~placement ~profile ~global ~escapes f
       in
       {
         functions = acc.functions + 1;

@@ -42,6 +42,7 @@ type stats = {
 }
 
 val run :
+  ?metrics:Wario_obs.Metrics.t ->
   ?mode:Wario_analysis.Alias.mode ->
   ?placement:placement ->
   ?profile:Wario_analysis.Costmodel.profile ->
@@ -54,4 +55,7 @@ val run :
     the caller) is consulted under [Cost_guided] and [Interprocedural].
     [global] supplies interprocedural block weights (typically
     {!Wario_analysis.Callgraph.t.block_weight}) and is only consulted under
-    [Interprocedural]; when absent that policy degrades to [Cost_guided]. *)
+    [Interprocedural]; when absent that policy degrades to [Cost_guided].
+    [metrics] (default {!Wario_obs.Metrics.disabled}) accumulates per-phase
+    wall time across functions under
+    [middle.checkpoint_inserter.{analysis,candidates,solve,annotate}.ms]. *)

@@ -3,7 +3,9 @@
    Acceptance: every benchmark certifies in every instrumented environment,
    and the [drop_middle_ckpt] sabotage hook yields a rejection whose path
    witness names the unprotected load/store pair.  A qcheck property checks
-   the certifier agrees with the dynamic WAR verifier on random programs. *)
+   the certifier agrees with the dynamic WAR verifier on random programs.
+   Both the benchmark sweep and the property also check that the
+   certifier's abstract states are a fixpoint ({!C.fixpoint_violation}). *)
 
 module P = Wario.Pipeline
 module E = Wario_emulator
@@ -12,12 +14,27 @@ module W = Wario_workloads
 
 let envs = Wario_verify.Harness.instrumented_environments
 
+(* The certifier's abstract states must be a post-fixpoint: no edge may
+   still change its successor's state.  This holds whatever order the
+   worklist visited pcs in, so it checks the worklist without a second
+   one to compare against. *)
+let assert_fixpoint what image =
+  match C.fixpoint_violation image with
+  | None -> ()
+  | Some (pc, q) ->
+      Alcotest.failf "%s: certifier state not a fixpoint on edge %d -> %d" what
+        pc q
+
 let test_benchmarks_certified () =
   List.iter
     (fun (b : W.Programs.benchmark) ->
       List.iter
         (fun env ->
           let c = P.compile env b.W.Programs.source in
+          assert_fixpoint
+            (Printf.sprintf "%s × %s" b.W.Programs.name
+               (P.environment_name env))
+            c.P.image;
           match P.certify c with
           | C.Certified st ->
               Alcotest.(check bool)
@@ -96,6 +113,12 @@ let prop_certifier_agrees_with_dynamic =
             (fun drop ->
               let opts = { P.default_options with P.drop_middle_ckpt = drop } in
               let c = P.compile ~opts env src in
+              (match C.fixpoint_violation c.P.image with
+              | None -> ()
+              | Some (pc, q) ->
+                  QCheck.Test.fail_reportf
+                    "certifier state not a fixpoint on edge %d -> %d [%s]" pc q
+                    (P.environment_name env));
               let r = E.Emulator.run ~verify:true c.P.image in
               let dynamic_clean = r.E.Emulator.violations = [] in
               match P.certify c with

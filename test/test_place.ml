@@ -241,6 +241,40 @@ let test_inter_decisions_carry_verdicts () =
   Alcotest.(check bool) "function frequencies present" true
     (c.P.middle.P.func_freqs <> [])
 
+(* -- placement rationale: pi_wars ------------------------------------ *)
+
+(* Three WARs whose candidate sets meet in one point.  After the generic
+   optimizer the body is: 0 load a; 1 load c; 2 load b; 3 store a;
+   4 store b; 5 store c.  The candidate lists are a = [3; 1; 2; 3]
+   (the point before the store is listed twice), b = [4; 3; 4] and
+   c = [5; 2; 3; 4; 5]; point 3 is the only one in all three, so every
+   policy places one checkpoint there.  It covers three WAR sets, not
+   four: a set that lists a point twice still counts once. *)
+let test_pi_wars_counts_sets_once () =
+  let src =
+    {|
+int a; int b; int c;
+int main(void) {
+  int x = a; int z = c; int y = b;
+  a = y; b = x; c = z;
+  return 0; }
+|}
+  in
+  List.iter
+    (fun placement ->
+      let prog = Wario_minic.Minic.compile src in
+      Wario_transforms.Opt_pipeline.run prog;
+      let st = T.run ~placement prog in
+      Alcotest.(check int) "three WARs" 3 st.T.wars;
+      Alcotest.(check (list (pair (pair string int) int)))
+        "one checkpoint before store a, covering three WAR sets"
+        [ (("entry", 3), 3) ]
+        (List.map
+           (fun (p : T.placement_info) ->
+             ((p.T.pi_block, p.T.pi_index), p.T.pi_wars))
+           st.T.placements))
+    [ T.Greedy; T.Cost_guided ]
+
 (* -- the expander audition ------------------------------------------ *)
 
 let count metrics name =
@@ -371,6 +405,8 @@ let suite =
       test_inter_certified_same_results;
     Alcotest.test_case "inter: decisions carry certifier verdicts" `Slow
       test_inter_decisions_carry_verdicts;
+    Alcotest.test_case "placement: pi_wars counts each WAR set once" `Quick
+      test_pi_wars_counts_sets_once;
     Alcotest.test_case "inter: pinned audition decisions" `Slow
       test_inter_pinned_decisions;
     Alcotest.test_case "inter: audition trial and memo counters" `Slow

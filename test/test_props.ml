@@ -490,13 +490,40 @@ let prop_hitting_set_covers =
 (* -- weighted hitting set vs brute force ---------------------------- *)
 
 (* Small weighted instances: elements 0..9 with integer costs 1..16 (so
-   float sums are exact), a handful of small sets.  The universe is tiny
-   enough to enumerate every subset. *)
+   float sums are exact), a handful of small sets.  Some families also
+   lead with long sets that share the prefix 10..25 (16 elements) and
+   differ only in a tail drawn from 26..28, and some repeat sets verbatim
+   or reordered: the shapes whose dedup must hash a whole set, not a
+   prefix.  Every element the generator can emit gets a cost. *)
+let n_weighted_elems = 29
+
 let gen_weighted_instance =
   QCheck.Gen.(
+    let small =
+      list_size (int_range 1 8) (list_size (int_range 1 4) (int_bound 9))
+    in
+    let long =
+      let prefix = List.init 16 (fun i -> 10 + i) in
+      list_size (int_range 0 3)
+        (map (fun tail -> prefix @ tail)
+           (list_size (int_range 0 2) (int_range 26 28)))
+    in
+    (* repeat up to three of the sets, some in reverse order *)
+    let with_dups sets =
+      map
+        (fun picks ->
+          sets
+          @ List.map
+              (fun (i, rev) ->
+                let s = List.nth sets (i mod List.length sets) in
+                if rev then List.rev s else s)
+              picks)
+        (list_size (int_range 0 3) (pair nat bool))
+    in
     pair
-      (list_size (int_range 1 8) (list_size (int_range 1 4) (int_bound 9)))
-      (array_size (return 10) (map float_of_int (int_range 1 16))))
+      (pair long small >>= fun (l, s) -> with_dups (l @ s))
+      (array_size (return n_weighted_elems)
+         (map float_of_int (int_range 1 16))))
 
 let arbitrary_weighted_instance =
   QCheck.make
@@ -509,18 +536,34 @@ let arbitrary_weighted_instance =
         (String.concat ";" (Array.to_list (Array.map string_of_float w))))
     gen_weighted_instance
 
-(* cheapest covering subset by exhaustive enumeration *)
+(* Cheapest covering subset by exhaustive enumeration.  Elements that lie
+   in exactly the same sets are interchangeable, so only the cheapest of
+   each such class is enumerated: the 16 shared-prefix elements collapse
+   to one candidate and the universe stays small. *)
 let brute_optimum sets (w : float array) =
-  let elems = List.sort_uniq compare (List.concat sets) in
-  let n = List.length elems in
-  let arr = Array.of_list elems in
+  let signature e = List.map (List.mem e) sets in
+  let cheapest = Hashtbl.create 16 in
+  List.iter
+    (fun e ->
+      let k = signature e in
+      match Hashtbl.find_opt cheapest k with
+      | Some e' when w.(e') <= w.(e) -> ()
+      | _ -> Hashtbl.replace cheapest k e)
+    (List.sort_uniq compare (List.concat sets));
+  let arr = Array.of_list (Hashtbl.fold (fun _ e acc -> e :: acc) cheapest []) in
+  let n = Array.length arr in
+  (* per set, the bitmask of class representatives it contains *)
+  let set_masks =
+    List.map
+      (fun s ->
+        let m = ref 0 in
+        Array.iteri (fun i e -> if List.mem e s then m := !m lor (1 lsl i)) arr;
+        !m)
+      sets
+  in
   let best = ref infinity in
   for mask = 0 to (1 lsl n) - 1 do
-    let chosen e =
-      let rec idx i = if arr.(i) = e then i else idx (i + 1) in
-      mask land (1 lsl idx 0) <> 0
-    in
-    if List.for_all (List.exists chosen) sets then begin
+    if List.for_all (fun m -> mask land m <> 0) set_masks then begin
       let cost = ref 0. in
       Array.iteri (fun i e -> if mask land (1 lsl i) <> 0 then cost := !cost +. w.(e)) arr;
       if !cost < !best then best := !cost
@@ -573,7 +616,7 @@ let prop_weighted_unit_no_worse_than_classic =
     ~name:"random instances: unit-weight exact cover <= classic greedy size"
     ~count:200 arbitrary_weighted_instance
     (fun (sets, _) ->
-      let s = solve_w sets (Array.make 10 1.) in
+      let s = solve_w sets (Array.make n_weighted_elems 1.) in
       let classic =
         match Int_hs.solve ~cost:(fun _ -> 1.) sets with
         | Ok chosen -> chosen
