@@ -7,11 +7,10 @@
      dune exec bench/main.exe fig4 tab3           # several
      dune exec bench/main.exe -- --list           # artefact names
      dune exec bench/main.exe -- --out-dir d fig4 # write d/fig4.txt
-     dune exec bench/main.exe -- --jobs 8 perf    # perf + BENCH_4.json
-     dune exec bench/main.exe -- --small --artefact perf   # CI smoke
+     dune exec bench/main.exe -- --small --artefact emu    # CI smoke
 
    Artefacts: fig4 fig5 tab1 tab2 fig6 fig7 tab3 tab4 ext cert profile
-   bechamel perf emu place place6 cache compile.  The compile+run cache is
+   bechamel emu place place6 cache compile.  The compile+run cache is
    prefilled on --jobs domains (default and 0: the host's domain count;
    results are identical for any value).
    Absolute numbers differ from the paper (different substrate,
@@ -662,7 +661,7 @@ let bechamel () =
   print_string (Report.table [ "pass"; "time" ] (List.sort compare !rows))
 
 (* ------------------------------------------------------------------ *)
-(* Perf: emulator throughput and harness wall-clock (BENCH_4.json)      *)
+(* Shared artefact settings and helpers                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Set by the driver before artefacts run. *)
@@ -670,8 +669,8 @@ let opt_jobs = ref 0 (* 0 = not set: use X.default_jobs () *)
 let opt_small = ref false
 
 (* --engine: engine for artefact emulator runs that are not themselves
-   engine comparisons (the perf/emu engine tables always run both
-   engines regardless). *)
+   engine comparisons (the emu engine table always runs both engines
+   regardless). *)
 let opt_engine = ref E.Emulator.Block
 let opt_out_dir : string option ref = ref None
 
@@ -702,150 +701,6 @@ let json_escape s =
       | c -> Buffer.add_char b c)
     s;
   Buffer.contents b
-
-let perf () =
-  print_endline
-    "\n=== Perf: emulator block-engine throughput and parallel harness \
-     wall-clock ===\n";
-  let reps = if !opt_small then 2 else 3 in
-  (* -- emulator throughput: largest benchmark (by executed instructions,
-        wario environment), continuous supply -- *)
-  let largest =
-    List.fold_left
-      (fun acc b ->
-        let n = (get b P.Wario).run.E.Emulator.instrs in
-        match acc with
-        | Some (_, best) when best >= n -> acc
-        | _ -> Some (b, n))
-      None benchmarks
-    |> Option.get |> fst
-  in
-  let image = (get largest P.Wario).compiled.P.image in
-  let run_engine ~verify engine () = E.Emulator.run ~verify ~engine image in
-  let r_ref_verify, t_ref_verify =
-    best_of reps (run_engine ~verify:true E.Emulator.Reference)
-  in
-  let r_ref, t_ref =
-    best_of reps (run_engine ~verify:false E.Emulator.Reference)
-  in
-  let r_blk, t_blk = best_of reps (run_engine ~verify:false E.Emulator.Block) in
-  let fast_eq = r_blk = r_ref in
-  let fast_eq_verify =
-    (* verify-on differs only in that it can report violations *)
-    r_blk = { r_ref_verify with E.Emulator.violations = [] }
-    && r_ref_verify.E.Emulator.violations = []
-  in
-  if not (fast_eq && fast_eq_verify) then
-    failwith "perf: the block engine diverged from the reference engine";
-  let ips t = float_of_int r_blk.E.Emulator.instrs /. t in
-  let rows =
-    [
-      [ "reference, verify on"; Printf.sprintf "%.3f s" t_ref_verify;
-        Printf.sprintf "%.2fM instr/s" (ips t_ref_verify /. 1e6); "1.00" ];
-      [ "reference, verify off"; Printf.sprintf "%.3f s" t_ref;
-        Printf.sprintf "%.2fM instr/s" (ips t_ref /. 1e6);
-        Printf.sprintf "%.2f" (t_ref_verify /. t_ref) ];
-      [ "block"; Printf.sprintf "%.3f s" t_blk;
-        Printf.sprintf "%.2fM instr/s" (ips t_blk /. 1e6);
-        Printf.sprintf "%.2f" (t_ref_verify /. t_blk) ];
-    ]
-  in
-  Printf.printf "emulator throughput: %s, %d instrs, continuous supply, \
-                 best of %d\n"
-    largest.W.name r_blk.E.Emulator.instrs reps;
-  print_string
-    (Report.table [ "engine"; "wall"; "throughput"; "speedup" ] rows);
-  Printf.printf
-    "block = reference (verify off): %b; = reference (verify on, modulo \
-     violations=[]): %b\n"
-    fast_eq fast_eq_verify;
-  (* -- harness wall-clock: schedule fan-out at jobs=1 vs jobs=N -- *)
-  let module H = Wario_verify.Harness in
-  let par_jobs = resolved_jobs () in
-  let config jobs =
-    {
-      H.default_config with
-      H.workloads =
-        List.filter
-          (fun (n, _) -> List.mem n [ "rmw_loop"; "byte_ops" ])
-          H.default_config.H.workloads;
-      envs = [ P.Wario; P.Wario_expander ];
-      schedules_per_case = (if !opt_small then 24 else 100);
-      exhaustive_limit = (if !opt_small then 24 else 100);
-      jobs;
-      engine = !opt_engine;
-    }
-  in
-  let sweep jobs () = H.sweep (config jobs) in
-  let reports_seq, t_seq = best_of reps (sweep 1) in
-  (* on a single-core host a domain pool has no parallelism to buy and
-     only adds spawn/join overhead (a previous run here clocked 0.87x):
-     the fan-out degenerates to the sequential path by design *)
-  if par_jobs = 1 then
-    print_endline
-      "\nsingle-core host: harness fan-out runs sequentially (jobs auto = 1)";
-  let reports_par, t_par =
-    if par_jobs > 1 then best_of reps (sweep par_jobs) else (reports_seq, t_seq)
-  in
-  let identical = reports_seq = reports_par in
-  if not identical then
-    failwith "perf: parallel harness reports differ from sequential";
-  let schedules =
-    List.fold_left (fun a r -> a + r.H.c_schedules) 0 reports_seq
-  in
-  Printf.printf
-    "\nharness fan-out: %d schedules, %d case(s), best of %d\n" schedules
-    (List.length reports_seq) reps;
-  print_string
-    (Report.table
-       [ "jobs"; "wall"; "speedup" ]
-       [
-         [ "1"; Printf.sprintf "%.3f s" t_seq; "1.00" ];
-         [ string_of_int par_jobs; Printf.sprintf "%.3f s" t_par;
-           Printf.sprintf "%.2f" (t_seq /. t_par) ];
-       ]);
-  Printf.printf "parallel report identical to sequential: %b\n" identical;
-  (* -- BENCH_4.json -- *)
-  let json =
-    String.concat ""
-      [
-        "{\n";
-        "  \"bench\": \"perf\",\n";
-        Printf.sprintf "  \"host\": {\"recommended_domains\": %d},\n"
-          (X.default_jobs ());
-        Printf.sprintf "  \"small\": %b,\n" !opt_small;
-        "  \"emulator\": {\n";
-        Printf.sprintf "    \"benchmark\": \"%s\",\n"
-          (json_escape largest.W.name);
-        Printf.sprintf "    \"instrs\": %d,\n" r_blk.E.Emulator.instrs;
-        Printf.sprintf "    \"reference_verify_on_s\": %.6f,\n" t_ref_verify;
-        Printf.sprintf "    \"reference_verify_off_s\": %.6f,\n" t_ref;
-        Printf.sprintf "    \"block_s\": %.6f,\n" t_blk;
-        Printf.sprintf "    \"block_instr_per_s\": %.0f,\n" (ips t_blk);
-        Printf.sprintf "    \"speedup_vs_reference_verify_on\": %.3f,\n"
-          (t_ref_verify /. t_blk);
-        Printf.sprintf "    \"speedup_vs_reference_verify_off\": %.3f,\n"
-          (t_ref /. t_blk);
-        Printf.sprintf "    \"fast_equals_reference\": %b\n"
-          (fast_eq && fast_eq_verify);
-        "  },\n";
-        "  \"harness\": {\n";
-        Printf.sprintf "    \"schedules\": %d,\n" schedules;
-        Printf.sprintf "    \"jobs\": %d,\n" par_jobs;
-        Printf.sprintf "    \"sequential_s\": %.6f,\n" t_seq;
-        Printf.sprintf "    \"parallel_s\": %.6f,\n" t_par;
-        Printf.sprintf "    \"speedup\": %.3f,\n" (t_seq /. t_par);
-        Printf.sprintf "    \"identical_reports\": %b\n" identical;
-        "  }\n";
-        "}\n";
-      ]
-  in
-  let dir = match !opt_out_dir with Some d -> d | None -> "." in
-  let path = Filename.concat dir "BENCH_4.json" in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
 (* Emu: engine throughput (BENCH_10.json)                               *)
@@ -1937,7 +1792,7 @@ let artefacts =
     ("fig4", fig4); ("fig5", fig5); ("tab1", tab1); ("tab2", tab2);
     ("fig6", fig6); ("fig7", fig7); ("tab3", tab3); ("tab4", tab4);
     ("ext", ext); ("cert", cert); ("profile", profile); ("bechamel", bechamel);
-    ("perf", perf); ("emu", emu); ("place", place); ("place6", place6);
+    ("emu", emu); ("place", place); ("place6", place6);
     ("cache", cache_bench); ("compile", compile_ledger);
   ]
 

@@ -90,6 +90,17 @@ let default_options =
     motion = false;
   }
 
+let placement_policies =
+  T.Checkpoint_inserter.
+    [ ("greedy", Greedy); ("cost", Cost_guided); ("inter", Interprocedural) ]
+
+let with_placement (pl : T.Checkpoint_inserter.placement) (opts : options) =
+  match pl with
+  | T.Checkpoint_inserter.Interprocedural ->
+      { opts with placement = pl; elide = true; motion = true }
+  | T.Checkpoint_inserter.Greedy | T.Checkpoint_inserter.Cost_guided ->
+      { opts with placement = pl }
+
 (** What became of [options.block_profile] during placement. *)
 type profile_status =
   | No_profile  (** none supplied: static cost model *)

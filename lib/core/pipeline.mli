@@ -56,6 +56,18 @@ type options = {
 
 val default_options : options
 
+val placement_policies :
+  (string * Wario_transforms.Checkpoint_inserter.placement) list
+(** The [--placement] policy names: [greedy], [cost] (the default,
+    [Cost_guided]) and [inter]. *)
+
+val with_placement :
+  Wario_transforms.Checkpoint_inserter.placement -> options -> options
+(** Select a placement policy as [--placement] does: [Interprocedural]
+    also turns on [elide] and [motion]; the other policies leave both as
+    they are.  The CLI and reproducer replay (lib/verify) share it, so a
+    recorded policy rebuilds the same compile. *)
+
 (** What became of [options.block_profile] during placement. *)
 type profile_status =
   | No_profile  (** none supplied: static cost model *)

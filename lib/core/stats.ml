@@ -43,7 +43,6 @@ type generation = {
   g_kind : string;
   g_small : bool;
   g_points : point list;
-  g_emulator_ips : float option;
   g_throughput : tpoint list;
   g_cache : cache_point option;
 }
@@ -60,14 +59,6 @@ let generation_of_json ~label (doc : J.t) : (generation, string) result =
     let small =
       Option.value ~default:false
         (Option.bind (J.member "small" doc) J.to_bool)
-    in
-    (* perf artefacts: the fast engine's throughput ("fast_*" named the
-       retired uop engine; later generations carry only the block one) *)
-    let ips =
-      Option.bind (J.member "emulator" doc) (fun e ->
-          match Option.bind (J.member "fast_instr_per_s" e) J.to_float with
-          | Some f -> Some f
-          | None -> Option.bind (J.member "block_instr_per_s" e) J.to_float)
     in
     (* emu artefacts (BENCH_7) carry per-engine throughput, not placement
        variants: their "programs" array has no "selected"/"variants" *)
@@ -182,7 +173,6 @@ let generation_of_json ~label (doc : J.t) : (generation, string) result =
         g_kind = kind;
         g_small = small;
         g_points = points;
-        g_emulator_ips = ips;
         g_throughput = throughput;
         g_cache = cache_pt;
       }
@@ -306,17 +296,6 @@ let throughput_trend (gens : generation list) : throughput_row list =
 
 let render_trend (gens : generation list) : string =
   let b = Buffer.create 1024 in
-  List.iter
-    (fun g ->
-      match g.g_emulator_ips with
-      | Some ips ->
-          Buffer.add_string b
-            (Printf.sprintf "%s (%s%s): emulator fast path %.2fM instr/s\n"
-               g.g_label g.g_kind
-               (if g.g_small then ", small" else "")
-               (ips /. 1e6))
-      | None -> ())
-    gens;
   List.iter
     (fun g ->
       match g.g_cache with

@@ -46,9 +46,9 @@ type generation = {
   g_label : string;  (** e.g. ["BENCH_5"] — the file's base name *)
   g_kind : string;  (** the artefact's ["bench"] field *)
   g_small : bool;
-  g_points : point list;  (** one per program; empty for perf artefacts *)
-  g_emulator_ips : float option;
-      (** perf artefacts: fast-path instructions per second *)
+  g_points : point list;
+      (** one per program; empty for artefacts without placement variants
+          (e.g. the retired perf artefact, BENCH_4) *)
   g_throughput : tpoint list;
       (** emu artefacts (BENCH_7): per-program per-engine instr/s; empty
           for every other artefact kind *)

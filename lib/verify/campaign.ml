@@ -1,9 +1,7 @@
-(* The fleet-scale adversarial power campaign.
-
-   `iclang verify`'s sweep is a spot check: a few hundred splitmix64
-   schedules per case.  A campaign turns that into a budgeted, coverage-
-   accounted search.  Per (workload, environment) case it mixes, in a
-   fixed priority order:
+(* The adversarial power campaign: `iclang verify`'s fault-injection
+   engine, a budgeted, coverage-accounted schedule search.  The budget
+   scales it from a 200-schedule spot check to a fleet run.  Per
+   (workload, environment) case it mixes, in a fixed priority order:
 
    1. the boundary set — single-cut schedules at every checkpoint-commit
       offset −1/+0/+1 of the reference run while that fits the budget, the
@@ -210,14 +208,13 @@ type config = {
           the report is engine-independent — asserted byte-identical in CI *)
 }
 
-let default_budget = 100_000
 let small_budget = 2_000
 
 let default_config =
   {
     envs = Harness.instrumented_environments;
-    workloads = Harness.default_config.Harness.workloads;
-    budget = default_budget;
+    workloads = Harness.default_workloads;
+    budget = 200;
     seed = 1L;
     opts = P.default_options;
     jobs = 1;
@@ -226,8 +223,9 @@ let default_config =
   }
 
 (* Per-case generator: derived from the campaign seed and the case
-   identity (salted so campaign streams never collide with sweep
-   streams), so a single case replays identically in isolation. *)
+   identity, so a single case replays identically in isolation.  The
+   "campaign" salt is part of the stream: dropping it would change every
+   seeded schedule and every recorded reproducer. *)
 let case_gen config ~workload ~env =
   Schedule.of_seed
     (Int64.logxor config.seed
@@ -237,8 +235,8 @@ let case_gen config ~workload ~env =
 let repro_of config ~workload ~env cuts =
   Repro.make ~unroll:config.opts.P.unroll_factor
     ?max_region:config.opts.P.max_region
-    ?drop_ckpt:config.opts.P.drop_middle_ckpt ~seed:config.seed ~workload ~env
-    cuts
+    ?drop_ckpt:config.opts.P.drop_middle_ckpt
+    ~placement:config.opts.P.placement ~seed:config.seed ~workload ~env cuts
 
 (* ------------------------------------------------------------------ *)
 (* Plan generation                                                      *)
@@ -370,9 +368,12 @@ let run_case ?(log = fun _ -> ()) ?(spans = S.disabled) (config : config)
   in
   match Oracle.golden_violations g with
   | _ :: _ as vs ->
+      let repro = repro_of config ~workload:name ~env [||] in
+      (* the schedule is broken before any failure is injected *)
       log
-        (Printf.sprintf "%s × %s: golden run already violates (%d)" name
-           (P.environment_name env) (List.length vs));
+        (Printf.sprintf
+           "%s × %s: golden run already violates (%d)\n  repro: %s" name
+           (P.environment_name env) (List.length vs) (Repro.to_string repro));
       {
         k_workload = name;
         k_env = env;
@@ -392,7 +393,7 @@ let run_case ?(log = fun _ -> ()) ?(spans = S.disabled) (config : config)
               k_schedule = [||];
               k_shrunk = [||];
               k_divergence = Oracle.War_violations vs;
-              k_repro = repro_of config ~workload:name ~env [||];
+              k_repro = repro;
               k_source = "golden";
             };
           ];
@@ -448,8 +449,14 @@ let run_case ?(log = fun _ -> ()) ?(spans = S.disabled) (config : config)
         if Array.length cuts <= 512 then Shrink.ddmin ~still_fails cuts
         else cuts
       in
-      (* fixed-size chunks + in-order consumption: byte-identical reports
-         for every [jobs] (the Harness.run_case argument applies verbatim) *)
+      (* The oracle fan-out runs the plan in fixed-size chunks: [Exec.map]
+         evaluates a whole chunk (on [config.jobs] domains — each run
+         builds its own emulator; [g]/[c] are only read), then the
+         verdicts are consumed sequentially, in input order, in the
+         calling domain.  Coverage, shrinking, logging and the shrink cap
+         therefore see schedules in exactly the sequential order, and the
+         chunk size does not depend on [jobs], so reports are
+         byte-identical for every [jobs] value. *)
       let chunk_size = 64 in
       let rec chunks = function
         | [] -> []

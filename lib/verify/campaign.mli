@@ -1,10 +1,10 @@
-(** The fleet-scale adversarial power campaign: a budgeted, coverage-
-    accounted schedule search per (workload, environment) case, mixing the
+(** The adversarial power campaign: a budgeted, coverage-accounted
+    schedule search per (workload, environment) case, mixing the
     exhaustive boundary ±1 set, the {!Adversary} bisection, harvester-style
     {!Supply} models and seeded random fill.  The plan is generated up
     front from the seed and consumed in input order, so a campaign is
     schedule-for-schedule deterministic for any [jobs] value.  CLI entry:
-    [iclang verify --campaign]. *)
+    [iclang verify], the only fault-injection engine. *)
 
 (** {1 Coverage}
 
@@ -94,13 +94,14 @@ type config = {
           by construction (asserted byte-identical in CI). *)
 }
 
-val default_budget : int
-(** 100_000 — the fleet-scale default. *)
-
 val small_budget : int
-(** 2_000 — the [--small] smoke-test budget. *)
+(** 2_000 — the CI smoke budget ([iclang verify -n 2000]). *)
 
 val default_config : config
+(** Every instrumented environment × every micro workload, budget 200
+    schedules per case ([iclang verify]'s default [-n]; a fleet run is
+    [-n 100000]), seed 1, [jobs] 1, block engine, 5 shrunk failures per
+    case. *)
 
 val run_case :
   ?log:(string -> unit) ->

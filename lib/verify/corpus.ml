@@ -12,7 +12,7 @@
 
    [expect] gives the entry its polarity:
    - [fail]: the verifier must STILL flag this replay — these are detector
-     regression tests (e.g. sabotaged builds the harness must keep
+     regression tests (e.g. sabotaged builds the campaign must keep
      catching);
    - [pass]: the replay must stay green — these are fixed bugs that must
      not come back.

@@ -7,7 +7,7 @@
 type expect =
   | Must_fail
       (** the verifier must still flag this replay (detector regression
-          test — e.g. a sabotaged build the harness must keep catching) *)
+          test — e.g. a sabotaged build the campaign must keep catching) *)
   | Must_pass  (** a fixed bug that must stay fixed: replay must be green *)
 
 type entry = {

@@ -6,11 +6,13 @@
    Every field needed to replay deterministically is carried: the workload
    name (a micro program or a paper benchmark), the software environment,
    the pipeline options that shape the checkpoint schedule (unroll factor,
-   optional region bound, optional test-only sabotage) and the cut
-   schedule itself.  [seed] is bookkeeping: the sweep seed that found the
-   failure. *)
+   optional region bound, optional test-only sabotage, the placement
+   policy when it is not the default cost-guided one) and the cut
+   schedule itself.  [seed] is bookkeeping: the campaign seed that found
+   the failure. *)
 
 module P = Wario.Pipeline
+module T = Wario_transforms.Checkpoint_inserter
 
 type t = {
   workload : string;
@@ -18,21 +20,23 @@ type t = {
   unroll : int;
   max_region : int option;
   drop_ckpt : int option;  (** test-only sabotage replay (see Pipeline) *)
+  placement : T.placement;  (** [(placement ...)]; absent = cost-guided *)
   cuts : int array;
-  seed : int64 option;  (** sweep seed that found the failure *)
+  seed : int64 option;  (** campaign seed that found the failure *)
 }
 
 let make ?(unroll = P.default_options.P.unroll_factor) ?max_region ?drop_ckpt
-    ?seed ~workload ~env cuts =
-  { workload; env; unroll; max_region; drop_ckpt; cuts; seed }
+    ?(placement = P.default_options.P.placement) ?seed ~workload ~env cuts =
+  { workload; env; unroll; max_region; drop_ckpt; placement; cuts; seed }
 
 let options_of (r : t) : P.options =
-  {
-    P.default_options with
-    P.unroll_factor = r.unroll;
-    max_region = r.max_region;
-    drop_middle_ckpt = r.drop_ckpt;
-  }
+  P.with_placement r.placement
+    {
+      P.default_options with
+      P.unroll_factor = r.unroll;
+      max_region = r.max_region;
+      drop_middle_ckpt = r.drop_ckpt;
+    }
 
 let source_of_workload (name : string) : (string, string) result =
   match
@@ -66,6 +70,13 @@ let to_string (r : t) : string =
   (match r.drop_ckpt with
   | None -> ()
   | Some n -> Buffer.add_string buf (Printf.sprintf " (drop-ckpt %d)" n));
+  (* the default policy prints nothing: entries recorded before the atom
+     existed keep their text and their content-addressed file names *)
+  if r.placement <> P.default_options.P.placement then
+    Buffer.add_string buf
+      (Printf.sprintf " (placement %s)"
+         (fst
+            (List.find (fun (_, p) -> p = r.placement) P.placement_policies)));
   Buffer.add_string buf " (cuts";
   Array.iter (fun c -> Buffer.add_string buf (Printf.sprintf " %d" c)) r.cuts;
   Buffer.add_string buf ")";
@@ -146,6 +157,7 @@ let of_sexp (sx : sexp) : (t, string) result =
         let workload = ref None and env = ref None in
         let unroll = ref P.default_options.P.unroll_factor in
         let max_region = ref None and drop_ckpt = ref None in
+        let placement = ref P.default_options.P.placement in
         let cuts = ref [||] and seed = ref None in
         List.iter
           (function
@@ -159,6 +171,10 @@ let of_sexp (sx : sexp) : (t, string) result =
                 max_region := Some (int_of_atom "max-region" v)
             | List [ Atom "drop-ckpt"; v ] ->
                 drop_ckpt := Some (int_of_atom "drop-ckpt" v)
+            | List [ Atom "placement"; Atom p ] -> (
+                match List.assoc_opt p P.placement_policies with
+                | Some v -> placement := v
+                | None -> raise (Parse_error ("unknown placement " ^ p)))
             | List (Atom "cuts" :: vs) ->
                 cuts :=
                   Array.of_list (List.map (int_of_atom "cuts") vs)
@@ -180,6 +196,7 @@ let of_sexp (sx : sexp) : (t, string) result =
             unroll = !unroll;
             max_region = !max_region;
             drop_ckpt = !drop_ckpt;
+            placement = !placement;
             cuts = !cuts;
             seed = !seed;
           }

@@ -1,6 +1,8 @@
 (** One-line S-expression reproducers for failing injection schedules,
     e.g. [(repro (workload rmw_loop) (env wario) (unroll 8) (cuts 413 879))].
-    Replayable via [iclang verify --repro] or {!Harness.replay}. *)
+    Replayable via [iclang verify --repro] or {!Harness.replay}.  A
+    non-default placement policy is recorded as [(placement greedy)] or
+    [(placement inter)]; an absent atom means cost-guided. *)
 
 type t = {
   workload : string;  (** micro-program or benchmark name *)
@@ -9,14 +11,18 @@ type t = {
   max_region : int option;
   drop_ckpt : int option;
       (** replays the test-only sabotage hook (see {!Wario.Pipeline.options}) *)
+  placement : Wario_transforms.Checkpoint_inserter.placement;
+      (** the placement policy, applied by {!Wario.Pipeline.with_placement} *)
   cuts : int array;  (** the injection schedule *)
-  seed : int64 option;  (** sweep seed that found the failure (bookkeeping) *)
+  seed : int64 option;
+      (** campaign seed that found the failure (bookkeeping) *)
 }
 
 val make :
   ?unroll:int ->
   ?max_region:int ->
   ?drop_ckpt:int ->
+  ?placement:Wario_transforms.Checkpoint_inserter.placement ->
   ?seed:int64 ->
   workload:string ->
   env:Wario.Pipeline.environment ->

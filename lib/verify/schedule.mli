@@ -1,5 +1,5 @@
 (** Adversarial power-cut schedule generation for the fault-injection
-    harness.  A schedule is the array of on-durations given to
+    campaign.  A schedule is the array of on-durations given to
     {!Wario_emulator.Power.Schedule}. *)
 
 (** {1 Splittable PRNG (splitmix64)} *)

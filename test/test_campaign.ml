@@ -347,26 +347,63 @@ let test_campaign_coverage_and_determinism () =
   Alcotest.(check bool) "min coverage aggregate" true
     (V.Campaign.min_boundary_pct [ r1 ] >= 95.0)
 
-let sabotage_case () =
+let byte_ops_case opts =
   let m = M.find "byte_ops" in
-  let config =
-    {
-      (campaign_config 40 1) with
-      V.Campaign.opts =
-        { P.default_options with P.drop_middle_ckpt = Some 1 };
-    }
-  in
-  V.Campaign.run_case config ~workload:(m.M.name, m.M.source) ~env:P.Wario
+  V.Campaign.run_case
+    { (campaign_config 40 1) with V.Campaign.opts }
+    ~workload:(m.M.name, m.M.source) ~env:P.Wario
 
+let sabotage_case () =
+  byte_ops_case { P.default_options with P.drop_middle_ckpt = Some 1 }
+
+(* The acceptance-criterion test: a deliberately broken checkpoint
+   schedule (the test-only drop_middle_ckpt hook removes one middle-end
+   checkpoint, re-opening a WAR window) must be caught and shrunk to a
+   reproducer of at most 3 cut points that replays the failure. *)
 let test_campaign_catches_sabotage () =
   let r = sabotage_case () in
   Alcotest.(check bool) "sabotage caught" true
     (r.V.Campaign.k_failures_total > 0);
-  match r.V.Campaign.k_failures with
+  (match r.V.Campaign.k_failures with
   | [] -> Alcotest.fail "no shrunk failure recorded"
+  | f :: _ -> (
+      Alcotest.(check bool) "shrunk to <= 3 cut points" true
+        (Array.length f.V.Campaign.k_shrunk <= 3);
+      (* the printed reproducer parses back and still reproduces *)
+      let line = V.Repro.to_string f.V.Campaign.k_repro in
+      match V.Repro.of_string line with
+      | Error e -> Alcotest.failf "reproducer %S does not parse: %s" line e
+      | Ok r -> (
+          Alcotest.(check (option int)) "repro carries the sabotage hook"
+            (Some 1) r.V.Repro.drop_ckpt;
+          match V.Harness.replay r with
+          | Ok () -> Alcotest.failf "replay of %S did not reproduce" line
+          | Error _ -> ())));
+  (* sanity: same workload without the hook is clean *)
+  let healthy = byte_ops_case P.default_options in
+  Alcotest.(check int) "healthy build clean" 0
+    healthy.V.Campaign.k_failures_total
+
+(* A failure found under a non-default placement policy records it: the
+   reproducer and its corpus fingerprint describe the compile that
+   failed, not the cost-guided default. *)
+let test_campaign_repro_records_placement () =
+  let opts =
+    P.with_placement Wario_transforms.Checkpoint_inserter.Interprocedural
+      { P.default_options with P.drop_middle_ckpt = Some 1 }
+  in
+  let r = byte_ops_case opts in
+  match r.V.Campaign.k_failures with
+  | [] -> Alcotest.fail "sabotage under --placement inter not caught"
   | f :: _ ->
-      Alcotest.(check (option int)) "repro carries the sabotage hook"
-        (Some 1) f.V.Campaign.k_repro.V.Repro.drop_ckpt
+      let repro = f.V.Campaign.k_repro in
+      Alcotest.(check bool) "replay options are the failing options" true
+        (V.Repro.options_of repro = opts);
+      let m = M.find "byte_ops" in
+      Alcotest.(check (option string)) "program hash = image key"
+        (Some
+           (Wario.Cache.Key.to_hex (P.image_key ~opts P.Wario m.M.source)))
+        (V.Corpus.program_hash repro)
 
 (* ------------------------------------------------------------------ *)
 (* Regression corpus                                                    *)
@@ -482,6 +519,8 @@ let suite =
       test_campaign_coverage_and_determinism;
     Alcotest.test_case "campaign: catches sabotage" `Quick
       test_campaign_catches_sabotage;
+    Alcotest.test_case "campaign: reproducer records placement" `Quick
+      test_campaign_repro_records_placement;
     Alcotest.test_case "corpus: entry round-trip and rejects" `Quick
       test_corpus_roundtrip;
     Alcotest.test_case "corpus: content-addressed dedup and load" `Quick

@@ -3,13 +3,13 @@
    The contract under test is determinism: [Exec.map] returns results in
    input order, re-raises the lowest-indexed failure, and produces
    structurally identical results for every [jobs] value — which is what
-   lets the verify harness and the bench driver parallelise without
-   changing a byte of their output.  The harness round-trip at the bottom
+   lets the verify campaign and the bench driver parallelise without
+   changing a byte of their output.  The campaign round-trip at the bottom
    holds the integrated stack to that equation. *)
 
 module X = Wario_exec.Exec
 module P = Wario.Pipeline
-module H = Wario_verify.Harness
+module C = Wario_verify.Campaign
 
 let test_map_input_order () =
   let items = List.init 100 Fun.id in
@@ -93,37 +93,34 @@ let test_serialized_sink () =
     (List.map (fun i -> Printf.sprintf "item-%04d" i) items)
     lines
 
-(* The integrated contract: a harness case — including one with real
-   failures, where the shrinker and the failure cap are in play — yields
-   a byte-identical report whether the schedule fan-out runs on one
-   domain or several. *)
-let harness_case_report jobs =
+(* The integrated contract: a campaign case with a real failure yields a
+   byte-identical report whether the schedule fan-out runs on one domain
+   or several (test_campaign.ml checks the same for a healthy case). *)
+let campaign_case_report jobs =
   (* byte_ops + drop_middle_ckpt 1 is the proven sabotage from
-     test_verify.ml: it reliably re-opens a WAR window, so the failure
-     path (shrinker, failure cap, c_schedules accounting) is exercised *)
+     test_campaign.ml: it re-opens a WAR window that the golden run's WAR
+     verifier already flags, so the case ends before any schedule is
+     fanned out *)
   let m = Wario_workloads.Micro.find "byte_ops" in
   let config =
     {
-      H.default_config with
-      H.workloads = [ (m.Wario_workloads.Micro.name, m.Wario_workloads.Micro.source) ];
-      envs = [ P.Wario ];
-      schedules_per_case = 40;
-      exhaustive_limit = 200;
-      max_failures_per_case = 2;
+      C.default_config with
+      C.budget = 40;
+      max_shrunk_per_case = 2;
       opts = { P.default_options with P.drop_middle_ckpt = Some 1 };
       jobs;
     }
   in
-  H.run_case config
+  C.run_case config
     ~workload:(m.Wario_workloads.Micro.name, m.Wario_workloads.Micro.source)
     ~env:P.Wario
 
-let test_harness_jobs_deterministic () =
-  let seq = harness_case_report 1 in
-  let par = harness_case_report 3 in
+let test_campaign_jobs_deterministic () =
+  let seq = campaign_case_report 1 in
+  let par = campaign_case_report 3 in
   Alcotest.(check bool)
-    "sabotaged crc case finds failures" true
-    (seq.H.c_failures <> []);
+    "sabotaged byte_ops case finds failures" true
+    (seq.C.k_failures <> []);
   Alcotest.(check bool) "report identical for jobs=1 and jobs=3" true (seq = par)
 
 let suite =
@@ -141,6 +138,6 @@ let suite =
       test_map_lowest_failure_wins;
     Alcotest.test_case "serialized: single-writer funnel" `Quick
       test_serialized_sink;
-    Alcotest.test_case "harness: report identical across jobs" `Quick
-      test_harness_jobs_deterministic;
+    Alcotest.test_case "campaign: report identical across jobs" `Quick
+      test_campaign_jobs_deterministic;
   ]

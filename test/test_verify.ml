@@ -225,6 +225,41 @@ let test_repro_roundtrip () =
   (match V.Repro.of_string (V.Repro.to_string r) with
   | Error e -> Alcotest.failf "minimal form: %s" e
   | Ok r' -> Alcotest.(check bool) "minimal round-trips" true (r = r'));
+  (* the placement atom: printed only for a non-default policy, and the
+     replay options are the ones --placement builds *)
+  let module T = Wario_transforms.Checkpoint_inserter in
+  Alcotest.(check string) "default policy prints no atom"
+    "(repro (workload arith) (env ratchet) (unroll 8) (cuts))"
+    (V.Repro.to_string r);
+  List.iter
+    (fun (name, pl) ->
+      let r =
+        V.Repro.make ~drop_ckpt:1 ~placement:pl ~workload:"byte_ops"
+          ~env:P.Wario [| 7 |]
+      in
+      let s = V.Repro.to_string r in
+      Alcotest.(check string) ("prints (placement " ^ name ^ ")")
+        ("(repro (workload byte_ops) (env wario) (unroll 8) (drop-ckpt 1) \
+          (placement " ^ name ^ ") (cuts 7))")
+        s;
+      match V.Repro.of_string s with
+      | Error e -> Alcotest.failf "placement form %S: %s" s e
+      | Ok r' ->
+          Alcotest.(check bool) (name ^ " round-trips") true (r = r');
+          Alcotest.(check bool) (name ^ " replays the --placement options")
+            true
+            (V.Repro.options_of r'
+            = P.with_placement pl
+                { P.default_options with P.drop_middle_ckpt = Some 1 }))
+    [ ("greedy", T.Greedy); ("inter", T.Interprocedural) ];
+  (match
+     V.Repro.of_string
+       "(repro (workload arith) (env wario) (placement cost) (cuts 1))"
+   with
+  | Ok r ->
+      Alcotest.(check bool) "explicit cost = default" true
+        (r.V.Repro.placement = P.default_options.P.placement)
+  | Error e -> Alcotest.failf "explicit cost: %s" e);
   List.iter
     (fun bad ->
       match V.Repro.of_string bad with
@@ -238,70 +273,72 @@ let test_repro_roundtrip () =
       "(repro (workload arith) (env mario) (cuts 1))" (* bad env *);
       "(repro (workload arith) (env wario) (cuts one))" (* bad cut *);
       "(repro (workload arith) (env wario) (cuts 1)" (* unbalanced *);
+      "(repro (workload arith) (env wario) (placement best) (cuts 1))"
+      (* bad placement *);
     ]
 
 (* ------------------------------------------------------------------ *)
 (* The harness end to end                                               *)
 (* ------------------------------------------------------------------ *)
 
-let small_config =
-  {
-    V.Harness.default_config with
-    V.Harness.schedules_per_case = 40;
-    exhaustive_limit = 200;
-  }
+(* A small campaign (40 schedules, one domain) is the schedule search;
+   the harness contributes the static pre-check and reproducer replay. *)
+let small_case opts workload =
+  let m = M.find workload in
+  V.Campaign.run_case
+    {
+      V.Campaign.default_config with
+      V.Campaign.workloads = [];
+      budget = 40;
+      jobs = 1;
+      opts;
+    }
+    ~workload:(m.M.name, m.M.source) ~env:P.Wario
 
 let test_harness_green_on_healthy () =
   let m = M.find "arith" in
-  let report =
-    V.Harness.run_case small_config
-      ~workload:(m.M.name, m.M.source)
-      ~env:P.Wario
-  in
-  Alcotest.(check int) "no failures" 0
-    (List.length report.V.Harness.c_failures);
+  Alcotest.(check int) "static pre-check certifies" 0
+    (List.length
+       (V.Harness.static_precheck ~envs:[ P.Wario ]
+          ~workloads:[ (m.M.name, m.M.source) ]
+          P.default_options));
+  let report = small_case P.default_options "arith" in
+  Alcotest.(check int) "no failures" 0 report.V.Campaign.k_failures_total;
   Alcotest.(check bool) "schedules exercised" true
-    (report.V.Harness.c_schedules >= small_config.V.Harness.schedules_per_case)
+    (report.V.Campaign.k_schedules >= 40);
+  (* the zero-cut reproducer replays the golden run green *)
+  match V.Harness.replay (V.Repro.make ~workload:"arith" ~env:P.Wario [||]) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "golden replay diverged: %s" e
 
-(* The acceptance-criterion test: a deliberately broken checkpoint
-   schedule (the test-only drop_middle_ckpt hook removes one middle-end
-   checkpoint, re-opening a WAR window) must be caught and shrunk to a
-   reproducer of at most 3 cut points. *)
+(* A deliberately broken checkpoint schedule (the test-only
+   drop_middle_ckpt hook removes one middle-end checkpoint, re-opening a
+   WAR window) must be caught and shrunk to a reproducer of at most 3 cut
+   points; replaying its cuts without the hook is clean, so the failure
+   is the sabotage's and not the schedule's. *)
 let test_sabotaged_build_caught () =
-  let m = M.find "byte_ops" in
-  let config =
-    {
-      small_config with
-      V.Harness.opts =
-        { P.default_options with P.drop_middle_ckpt = Some 1 };
-    }
-  in
   let report =
-    V.Harness.run_case config ~workload:(m.M.name, m.M.source) ~env:P.Wario
+    small_case
+      { P.default_options with P.drop_middle_ckpt = Some 1 }
+      "byte_ops"
   in
-  (match report.V.Harness.c_failures with
+  match report.V.Campaign.k_failures with
   | [] -> Alcotest.fail "sabotaged build not caught"
-  | f :: _ ->
+  | f :: _ -> (
       Alcotest.(check bool) "shrunk to <= 3 cut points" true
-        (Array.length f.V.Harness.f_shrunk <= 3);
-      (* the printed reproducer parses back and still reproduces *)
-      let line = V.Repro.to_string f.V.Harness.f_repro in
-      (match V.Repro.of_string line with
+        (Array.length f.V.Campaign.k_shrunk <= 3);
+      let line = V.Repro.to_string f.V.Campaign.k_repro in
+      match V.Repro.of_string line with
       | Error e -> Alcotest.failf "reproducer %S does not parse: %s" line e
       | Ok r -> (
           Alcotest.(check (option int)) "repro carries the sabotage hook"
             (Some 1) r.V.Repro.drop_ckpt;
-          match V.Harness.replay r with
+          (match V.Harness.replay r with
           | Ok () -> Alcotest.failf "replay of %S did not reproduce" line
-          | Error _ -> ())));
-  (* sanity: same workload without the hook is clean *)
-  let healthy =
-    V.Harness.run_case small_config
-      ~workload:(m.M.name, m.M.source)
-      ~env:P.Wario
-  in
-  Alcotest.(check int) "healthy build clean" 0
-    (List.length healthy.V.Harness.c_failures)
+          | Error _ -> ());
+          match V.Harness.replay { r with V.Repro.drop_ckpt = None } with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "healthy build diverged: %s" e))
 
 (* With the WAR verifier silenced, the sabotaged build exhibits the
    underlying physical failure: some single power cut makes replay
